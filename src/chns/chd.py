@@ -14,7 +14,9 @@ The convex part of the potential is implicit, the concave quadratic and
 the couplings are explicit, and the mass-exchange mean is implicit.
 Taking means of the update shows ``mean(phi') - c0 = (mean(phi) - c0) /
 (1 + alpha dt)`` and ``mean(sigma') = mean(sigma)``; both laws are
-enforced exactly by recentering the solver output inside its tolerance.
+enforced to rounding by recentering the solver output.  The nonlocal
+term ``N`` and the solute's implicit diffusion are exact cosine-transform
+solves (:mod:`chns.elliptic`).
 
 The nonlinear cell system is solved by a damped Newton iteration.  After
 eliminating ``mu`` the Jacobian is sparse with a 13-point stencil; each
@@ -34,12 +36,16 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from . import potential as pot
-from .elliptic import SolverConfig, cg_raw, solve_spd
+from .elliptic import SolverConfig, fluctuation_potential, neumann_helmholtz
+
+# unused here, but perfbench/tracing.py (WRAPS) patches these names on this module
+from .elliptic import cg_raw, solve_spd  # noqa: F401
 from .grid import (
     GridSpec,
     MacVelocity,
     ScalarField,
     advect_scalar,
+    check_finite,
     laplacian_raw,
     mean,
 )
@@ -92,6 +98,7 @@ class ModelParams:
     potential: PotentialParams = PotentialParams()
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if not (self.nu1 > 0.0 and self.nu2 > 0.0):
             raise ValueError(
                 f"violates (H1): viscosities must be > 0, got nu1={self.nu1}, nu2={self.nu2}"
@@ -114,7 +121,10 @@ class ModelParams:
 
 @dataclass
 class ChdStepReport:
-    """Solver bookkeeping for one transport step."""
+    """Solver bookkeeping for one transport step.
+
+    ``linear_iters`` stays 0: the step's linear solves are direct.
+    """
 
     newton_iters: int = 0
     newton_residual: float = 0.0
@@ -142,29 +152,14 @@ def _operators(spec: GridSpec):
 
 
 def nonlocal_potential(
-    phi: ScalarField, cfg: SolverConfig = SolverConfig(), warm: ScalarField | None = None
+    phi: ScalarField, cfg: SolverConfig = SolverConfig()
 ) -> tuple[ScalarField, int]:
     """Inverse Neumann Laplacian of the zero-mean part of ``phi``.
 
-    Returns the field and the iteration count.  ``warm`` seeds the solve;
-    passing the result of the previous call makes repeated evaluations on
-    a slowly moving field nearly free.
+    Returns the field and an iteration count, which is 0 because the
+    solve is an exact cosine-transform solve; ``cfg`` is not consulted.
     """
-    spec = phi.grid
-    rhs = phi.values - phi.values.mean()
-
-    def apply_neg_lap(x: np.ndarray) -> np.ndarray:
-        return -laplacian_raw(spec, x)
-
-    x, iters = cg_raw(
-        apply_neg_lap,
-        rhs,
-        None if warm is None else warm.values,
-        rel_tol=cfg.rel_tol,
-        max_iter=cfg.resolve_max_iter(rhs.size),
-        singular=True,
-    )
-    return ScalarField(spec, x), iters
+    return fluctuation_potential(phi), 0
 
 
 def chemical_potential(
@@ -298,8 +293,7 @@ def ch_step(
     g_expl = -p.theta0 * phi.values - p.chi * sigma.values
     if p.beta != 0.0:
         if nphi is None:
-            nphi, iters = nonlocal_potential(phi, cfg)
-            report.linear_iters += iters
+            nphi, _ = nonlocal_potential(phi, cfg)
         g_expl = g_expl + p.beta * nphi.values
 
     src = 0.0 if source is None else source.values
@@ -340,9 +334,9 @@ def sigma_step(
     """Implicit diffusion of the solute with explicit transport and
     cross-diffusion against the fresh phase field.
 
-    Returns the new solute field and the linear iteration count.  The
-    conserved mean is enforced exactly by recentering inside the solver
-    tolerance.
+    Returns the new solute field and an iteration count, which is 0
+    because the Helmholtz solve is an exact cosine-transform solve.  The
+    conserved mean is enforced to rounding by recentering.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -353,13 +347,9 @@ def sigma_step(
     if source is not None:
         b = b + dt * source.values
 
-    def apply_helmholtz(x: np.ndarray) -> np.ndarray:
-        return x - dt * laplacian_raw(spec, x)
-
-    rhs = ScalarField(spec, b)
-    sol, iters = solve_spd(apply_helmholtz, rhs, cfg, x0=sigma)
+    sol = neumann_helmholtz(ScalarField(spec, b), dt)
     sol.values += b.mean() - sol.values.mean()
-    return sol, iters
+    return sol, 0
 
 
 def chd_step(
@@ -375,18 +365,12 @@ def chd_step(
     Advances ``phi``, ``mu``, ``sigma`` and time; the velocity and
     pressure ride along unchanged.
     """
-    nphi = None
-    extra_iters = 0
-    if p.beta != 0.0:
-        nphi, extra_iters = nonlocal_potential(state.phi, cfg, warm=state.nphi)
     phi_new, mu_new, report = ch_step(
-        state.phi, state.sigma, state.vel, p, dt, cfg, source=phi_source, nphi=nphi
+        state.phi, state.sigma, state.vel, p, dt, cfg, source=phi_source
     )
-    report.linear_iters += extra_iters
-    sigma_new, sig_iters = sigma_step(
+    sigma_new, _ = sigma_step(
         state.sigma, phi_new, state.vel, p, dt, cfg, source=sigma_source
     )
-    report.linear_iters += sig_iters
     new_state = replace(
         state,
         phi=phi_new,
@@ -394,6 +378,5 @@ def chd_step(
         sigma=sigma_new,
         t=state.t + dt,
         step=state.step + 1,
-        nphi=nphi if nphi is not None else state.nphi,
     )
     return new_state, report

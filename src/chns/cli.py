@@ -308,7 +308,12 @@ def read_ledger_csv(path: str | os.PathLike) -> list:
                 raise ConfigError(f"{path}: ledger row with {len(record)} fields")
             kwargs = {}
             for name, raw in zip(LEDGER_FIELDS, record):
-                kwargs[name] = int(raw) if name in ("step", "newton_iters") else float(raw)
+                try:
+                    kwargs[name] = int(raw) if name in ("step", "newton_iters") else float(raw)
+                except ValueError as exc:
+                    raise ConfigError(
+                        f"{path}: ledger line {reader.line_num}: {name} is not a number: {raw!r}"
+                    ) from exc
             rows.append(LedgerRow(**kwargs))
     return rows
 
@@ -345,9 +350,12 @@ def read_snapshot(path: str | os.PathLike) -> SimState:
         raise SnapshotError(f"{path}: header is not ASCII") from exc
     if len(tokens) != 6 or tokens[0] != SNAPSHOT_MAGIC:
         raise SnapshotError(f"{path}: bad snapshot header {header!r}")
-    nx, ny = int(tokens[1]), int(tokens[2])
-    lx, ly, t = float(tokens[3]), float(tokens[4]), float(tokens[5])
-    spec = GridSpec(nx=nx, ny=ny, lx=lx, ly=ly)
+    try:
+        nx, ny = int(tokens[1]), int(tokens[2])
+        lx, ly, t = float(tokens[3]), float(tokens[4]), float(tokens[5])
+        spec = GridSpec(nx=nx, ny=ny, lx=lx, ly=ly)
+    except ValueError as exc:
+        raise SnapshotError(f"{path}: bad snapshot header {header!r}: {exc}") from exc
     counts = [nx * ny] * 4 + [(nx + 1) * ny, nx * (ny + 1)]
     total = sum(counts) * 8
     if len(payload) != total:
@@ -362,8 +370,12 @@ def read_snapshot(path: str | os.PathLike) -> SimState:
         )
         offset += count * 8
     phi, mu, sigma, pressure, u, v = fields
+    try:
+        vel = MacVelocity(spec, u.reshape(nx + 1, ny), v.reshape(nx, ny + 1))
+    except ValueError as exc:
+        raise SnapshotError(f"{path}: {exc}") from exc
     return SimState(
-        vel=MacVelocity(spec, u.reshape(nx + 1, ny), v.reshape(nx, ny + 1)),
+        vel=vel,
         phi=ScalarField(spec, phi.reshape(nx, ny)),
         mu=ScalarField(spec, mu.reshape(nx, ny)),
         sigma=ScalarField(spec, sigma.reshape(nx, ny)),

@@ -23,7 +23,7 @@ import numpy as np
 from .chd import ChdStepReport, ModelParams, chd_step, chemical_potential
 from .diagnostics import LedgerRow, ledger_row
 from .elliptic import SolverConfig
-from .grid import GridSpec, MacVelocity, ScalarField
+from .grid import GridSpec, MacVelocity, ScalarField, check_finite
 from .hydro import ProjectionReport, ns_step
 from .state import SimState
 
@@ -62,6 +62,7 @@ class ScenarioConfig:
     drift_strength: float = 0.1
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.name not in _SCENARIOS:
             raise ValueError(f"unknown scenario {self.name!r}; pick from {_SCENARIOS}")
         if self.amplitude < 0.0:
@@ -91,6 +92,7 @@ class RunConfig:
     solver: SolverConfig = SolverConfig()
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.dt <= 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.t_end < 0.0:
@@ -194,9 +196,7 @@ def coupled_step(
     """Transport against the frozen velocity, then the projection step
     driven by the fresh fields."""
     mid, chd_report = chd_step(state, p, dt, cfg)
-    vel_new, pressure, proj = ns_step(
-        state.vel, mid.phi, mid.mu, mid.sigma, p, dt, cfg, pressure_warm=state.pressure
-    )
+    vel_new, pressure, proj = ns_step(state.vel, mid.phi, mid.mu, mid.sigma, p, dt, cfg)
     return replace(mid, vel=vel_new, pressure=pressure), chd_report, proj
 
 

@@ -39,7 +39,6 @@ from .state import SimState
 
 __all__ = [
     "LEDGER_FIELDS",
-    "EnergyLedger",
     "LedgerRow",
     "MassReport",
     "SeparationReport",
@@ -78,8 +77,6 @@ class LedgerRow:
 
 
 LEDGER_FIELDS = tuple(f.name for f in fields(LedgerRow))
-
-EnergyLedger = list  # list[LedgerRow]
 
 
 def kinetic_energy(state: SimState) -> float:
@@ -157,13 +154,11 @@ def ledger_row(
     """Assemble the ledger row for the current state.
 
     ``prev`` and ``dt`` feed the energy-balance residual; the first row
-    of a run leaves it at zero.  Updates ``state.nphi`` as a side effect
-    when the nonlocal term is active.
+    of a run leaves it at zero.
     """
     nphi = None
     if p.beta != 0.0:
-        nphi, _ = nonlocal_potential(state.phi, cfg, warm=state.nphi)
-        state.nphi = nphi
+        nphi, _ = nonlocal_potential(state.phi, cfg)
     kin = kinetic_energy(state)
     free = free_energy(state.phi, state.sigma, p, cfg, nphi)
     total = kin + free

@@ -24,8 +24,9 @@ Quadrature is midpoint throughout: ``integrate(f) = hx * hy * sum(f)``.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -37,6 +38,7 @@ __all__ = [
     "MacVelocity",
     "ScalarField",
     "advect_scalar",
+    "check_finite",
     "div_faces",
     "face_inner",
     "grad_norm_sq",
@@ -60,6 +62,17 @@ class DivergenceWarning(UserWarning):
     """Advecting velocity is measurably non-solenoidal."""
 
 
+def check_finite(config) -> None:
+    """Reject a dataclass whose float fields are not all finite.
+
+    Raises ``ValueError`` naming the first offending field.
+    """
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{type(config).__name__}.{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Geometry of the uniform cell grid.
@@ -78,6 +91,7 @@ class GridSpec:
     ly: float = 1.0
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.nx < 4 or self.ny < 4:
             raise ValueError(f"grid needs nx, ny >= 4, got {self.nx} x {self.ny}")
         if not (self.lx > 0.0 and self.ly > 0.0):

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
+from .grid import check_finite
+
 __all__ = [
     "PotentialDomainError",
     "PotentialParams",
@@ -59,6 +61,7 @@ class PotentialParams:
     theta0: float = 2.0
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.variant not in _VARIANTS:
             raise ValueError(f"unknown potential variant {self.variant!r}; pick from {_VARIANTS}")
         if self.variant == "logarithmic":

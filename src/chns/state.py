@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .grid import GridSpec, MacVelocity, ScalarField
 
@@ -11,12 +11,7 @@ __all__ = ["SimState"]
 
 @dataclass
 class SimState:
-    """Full unknown set at one time level.
-
-    ``nphi`` caches the inverse-Laplacian of the zero-mean phase field
-    from whichever routine computed it last.  It is a warm-start hint for
-    the next such solve, not guaranteed to match ``phi`` exactly.
-    """
+    """Full unknown set at one time level."""
 
     vel: MacVelocity
     phi: ScalarField
@@ -25,7 +20,6 @@ class SimState:
     pressure: ScalarField
     t: float = 0.0
     step: int = 0
-    nphi: ScalarField | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         g = self.vel.grid
@@ -46,5 +40,4 @@ class SimState:
             self.pressure.copy(),
             self.t,
             self.step,
-            None if self.nphi is None else self.nphi.copy(),
         )

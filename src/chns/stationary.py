@@ -67,12 +67,7 @@ class Equilibrium:
 
 
 def _reduced_energy(
-    phi: np.ndarray,
-    spec,
-    p: ModelParams,
-    m_target: float,
-    cfg: SolverConfig,
-    warm: ScalarField | None,
+    phi: np.ndarray, spec, p: ModelParams, cfg: SolverConfig
 ) -> tuple[float, ScalarField | None]:
     """Free energy after eliminating sigma, up to a phi-independent
     constant.  Returns the energy and the nonlocal field for reuse."""
@@ -81,7 +76,7 @@ def _reduced_energy(
     out -= 0.5 * p.chi**2 * spec.cell_area * float(np.vdot(phi, phi))
     nphi = None
     if p.beta != 0.0:
-        nphi, _ = nonlocal_potential(f, cfg, warm=warm)
+        nphi, _ = nonlocal_potential(f, cfg)
         fluct = phi - phi.mean()
         out += 0.5 * p.beta * spec.cell_area * float(np.vdot(fluct, nphi.values))
     return out, nphi
@@ -115,7 +110,7 @@ def solve_stationary(
     theta_eff = p.theta0 + p.chi**2
     dtau = 0.1
     dtau_max = 1.0e3 if p.beta == 0.0 else min(1.0e3, 1.0 / abs(p.beta))
-    energy, nphi = _reduced_energy(phi, spec, p, m_target, cfg, None)
+    energy, nphi = _reduced_energy(phi, spec, p, cfg)
 
     def residual_field(phi_arr: np.ndarray, nphi_field) -> np.ndarray:
         r = -laplacian_raw(spec, phi_arr) + pot.psi_prime(phi_arr, p.potential)
@@ -140,7 +135,7 @@ def solve_stationary(
         phi_try, _, _, _ = _newton_solve(
             spec, p.potential, phi, dtau, 0.0, g_expl, np.zeros_like(phi), m_target
         )
-        energy_try, nphi_try = _reduced_energy(phi_try, spec, p, m_target, cfg, nphi)
+        energy_try, nphi_try = _reduced_energy(phi_try, spec, p, cfg)
         if energy_try <= energy + 1.0e-13 * max(1.0, abs(energy)):
             phi, energy, nphi = phi_try, energy_try, nphi_try
             dtau = min(dtau * 1.5, dtau_max)

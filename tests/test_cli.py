@@ -208,6 +208,14 @@ def test_ledger_header_mismatch_rejected(tmp_path):
         read_ledger_csv(path)
 
 
+def test_ledger_non_numeric_field_rejected(tmp_path):
+    path = tmp_path / "ledger.csv"
+    record = ["0"] + ["x"] * (len(LEDGER_FIELDS) - 1)
+    path.write_text(",".join(LEDGER_FIELDS) + "\n" + ",".join(record) + "\n")
+    with pytest.raises(ConfigError, match="not a number"):
+        read_ledger_csv(path)
+
+
 # snapshots
 
 
@@ -238,6 +246,17 @@ def test_snapshot_non_ascii_header_rejected(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"\xff\xfe garbage\n")
     with pytest.raises(SnapshotError, match="not ASCII"):
+        read_snapshot(path)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [b"CHNS1 8 x 1.0 1.0 0.0", b"CHNS1 2 2 1.0 1.0 0.0", b"CHNS1 4 4 inf 1.0 0.0"],
+)
+def test_snapshot_unparsable_header_rejected(tmp_path, header):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(header + b"\n" + b"\x00" * 8)
+    with pytest.raises(SnapshotError, match="bad snapshot header"):
         read_snapshot(path)
 
 
@@ -305,6 +324,30 @@ def test_missing_config_exits_two(tmp_path, capsys):
 def test_bad_override_exits_two(capsys):
     assert main(["run", "--set", "nonsense"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        "grid.lx=inf",
+        "grid.ly=nan",
+        "params.theta0=inf",
+        "params.alpha=nan",
+        "params.chi=-inf",
+        "params.gamma=nan",
+        "scenario.amplitude=nan",
+        "scenario.center_x=inf",
+        "time.dt=nan",
+        "time.t_end=inf",
+        "time.cfl_safety=nan",
+    ],
+)
+def test_non_finite_value_exits_two(tmp_path, capsys, override):
+    out = tmp_path / "out"
+    assert main(["run", "--set", override, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "must be finite" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_solver_failure_exits_three(tmp_path, capsys):

@@ -1,14 +1,18 @@
-"""Neumann solves: eigenmode oracle, round trips, dual norm, failure paths."""
+"""Transform solves against dense oracles, eigenmodes, round trips and the
+dual norm; the conjugate-gradient routine's own contracts and failure
+paths."""
 
 import numpy as np
 import pytest
+from conftest import dense_neumann_laplacian
 
 from chns.elliptic import (
     SolverConfig,
     SolverError,
     cg_raw,
+    face_helmholtz,
     inverse_neumann_laplacian,
-    neumann_solve,
+    neumann_helmholtz,
     solve_spd,
     v0_norm_sq,
 )
@@ -21,6 +25,7 @@ from chns.grid import (
     laplacian_raw,
     mean,
 )
+from chns.hydro import _lap_u, _lap_v
 
 TIGHT = SolverConfig(rel_tol=1.0e-12)
 
@@ -30,9 +35,86 @@ def zero_mean_field(spec, rng):
     return ScalarField(spec, vals - vals.mean())
 
 
+def neg_lap(spec):
+    return lambda x: -laplacian_raw(spec, x)
+
+
+def dense_from_columns(apply_fn, shape):
+    """Dense matrix of a linear map on arrays of ``shape``, one unit
+    vector at a time."""
+    n = int(np.prod(shape))
+    mat = np.empty((n, n))
+    basis = np.zeros(shape)
+    for j in range(n):
+        basis.reshape(-1)[j] = 1.0
+        mat[:, j] = apply_fn(basis).reshape(-1)
+        basis.reshape(-1)[j] = 0.0
+    return mat
+
+
+def rel_err(got, want):
+    return float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
+
+
+# non-square cells and boxes, including the minimum grid size
+ORACLE_GRIDS = [
+    GridSpec(4, 4),
+    GridSpec(4, 9, 0.7, 1.6),
+    GridSpec(13, 6, 1.9, 0.8),
+    GridSpec(10, 17, 1.0, 2.5),
+]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(5)
+
+
+@pytest.mark.parametrize("spec", ORACLE_GRIDS, ids=str)
+def test_neumann_solve_matches_dense_oracle(spec, rng):
+    f = zero_mean_field(spec, rng)
+    n = spec.nx * spec.ny
+    # pin the constant kernel with an extra mean-zero row
+    aug = np.vstack([-dense_neumann_laplacian(spec), np.ones((1, n))])
+    want, *_ = np.linalg.lstsq(aug, np.append(f.values.reshape(-1), 0.0), rcond=None)
+    got = inverse_neumann_laplacian(f).values.reshape(-1)
+    assert rel_err(got, want) <= 1.0e-12
+    assert abs(got.mean()) <= 1.0e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("spec", ORACLE_GRIDS, ids=str)
+def test_neumann_helmholtz_matches_dense_oracle(spec, rng):
+    f = ScalarField(spec, rng.standard_normal((spec.nx, spec.ny)))
+    coeff = 0.3 * spec.hx * spec.hy  # balances identity and Laplacian
+    mat = np.eye(spec.nx * spec.ny) - coeff * dense_neumann_laplacian(spec)
+    want = np.linalg.solve(mat, f.values.reshape(-1))
+    got = neumann_helmholtz(f, coeff).values.reshape(-1)
+    assert rel_err(got, want) <= 1.0e-12
+    assert got.mean() == pytest.approx(f.values.mean(), abs=1.0e-14)
+
+
+@pytest.mark.parametrize("spec", ORACLE_GRIDS, ids=str)
+def test_face_helmholtz_matches_dense_oracle(spec, rng):
+    coeff = 0.05
+    u_rhs = rng.standard_normal((spec.nx + 1, spec.ny))
+    v_rhs = rng.standard_normal((spec.nx, spec.ny + 1))
+    got_u, got_v = face_helmholtz(spec, u_rhs, v_rhs, coeff)
+    # the unknowns are the interior faces; the wall-normal faces stay zero
+    for lap, rhs, got, inner in (
+        (_lap_u, u_rhs, got_u, (slice(1, -1), slice(None))),
+        (_lap_v, v_rhs, got_v, (slice(None), slice(1, -1))),
+    ):
+        def helm(x, lap=lap, rhs=rhs, inner=inner):
+            full = np.zeros_like(rhs)
+            full[inner] = x
+            return (full - coeff * lap(spec, full))[inner]
+
+        mat = dense_from_columns(helm, rhs[inner].shape)
+        want = np.linalg.solve(mat, rhs[inner].reshape(-1)).reshape(rhs[inner].shape)
+        assert rel_err(got[inner], want) <= 1.0e-12
+        pinned = np.ones(rhs.shape, dtype=bool)
+        pinned[inner] = False
+        assert np.all(got[pinned] == 0.0)
 
 
 def test_zero_input():
@@ -108,8 +190,8 @@ def test_dense_matches_iterative(rng):
     for shape in ((4, 4), (16, 16)):
         spec = GridSpec(*shape)
         f = zero_mean_field(spec, rng)
-        it = inverse_neumann_laplacian(f, SolverConfig(rel_tol=1.0e-12))
-        de = inverse_neumann_laplacian(f, SolverConfig(mode="dense"))
+        it, _ = solve_spd(neg_lap(spec), f, SolverConfig(rel_tol=1.0e-12), singular=True)
+        de, _ = solve_spd(neg_lap(spec), f, SolverConfig(mode="dense"), singular=True)
         assert np.max(np.abs(it.values - de.values)) <= 1.0e-8
         assert abs(mean(de)) <= 1.0e-13
 
@@ -136,7 +218,7 @@ def test_solver_failure_reports_residual(rng):
     f = zero_mean_field(spec, rng)
     cfg = SolverConfig(rel_tol=1.0e-12, max_iter=2)
     with pytest.raises(SolverError, match="residual"):
-        inverse_neumann_laplacian(f, cfg)
+        solve_spd(neg_lap(spec), f, cfg, singular=True)
 
 
 def test_indefinite_operator_detected(rng):
@@ -148,8 +230,9 @@ def test_indefinite_operator_detected(rng):
 def test_warm_start_reduces_iterations(rng):
     spec = GridSpec(16, 16)
     f = zero_mean_field(spec, rng)
-    cold, it_cold = neumann_solve(f, SolverConfig(rel_tol=1.0e-10))
-    warm, it_warm = neumann_solve(f, SolverConfig(rel_tol=1.0e-10), x0=cold)
+    cfg = SolverConfig(rel_tol=1.0e-10)
+    cold, it_cold = solve_spd(neg_lap(spec), f, cfg, singular=True)
+    warm, it_warm = solve_spd(neg_lap(spec), f, cfg, x0=cold, singular=True)
     assert it_warm < it_cold
     assert np.max(np.abs(warm.values - cold.values)) <= 1.0e-8
 
