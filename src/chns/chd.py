@@ -47,7 +47,6 @@ from .grid import (
     advect_scalar,
     check_finite,
     laplacian_raw,
-    mean,
 )
 from .potential import PotentialParams
 from .state import SimState
@@ -157,18 +156,13 @@ def nonlocal_potential(
     """Inverse Neumann Laplacian of the zero-mean part of ``phi``.
 
     Returns the field and an iteration count, which is 0 because the
-    solve is an exact cosine-transform solve; ``cfg`` is not consulted.
+    solve is an exact cosine-transform solve.  ``cfg`` is not read; it
+    stays because ``perfbench/child.py`` passes one.
     """
     return fluctuation_potential(phi), 0
 
 
-def chemical_potential(
-    phi: ScalarField,
-    sigma: ScalarField,
-    p: ModelParams,
-    cfg: SolverConfig = SolverConfig(),
-    nphi: ScalarField | None = None,
-) -> ScalarField:
+def chemical_potential(phi: ScalarField, sigma: ScalarField, p: ModelParams) -> ScalarField:
     """Assembled chemical potential ``-lap phi + psi'(phi) - chi sigma
     + beta N(phi - mean phi)`` of the current state (no splitting lag)."""
     spec = phi.grid
@@ -176,9 +170,7 @@ def chemical_potential(
     if p.chi != 0.0:
         out = out - p.chi * sigma.values
     if p.beta != 0.0:
-        if nphi is None:
-            nphi, _ = nonlocal_potential(phi, cfg)
-        out = out + p.beta * nphi.values
+        out = out + p.beta * nonlocal_potential(phi)[0].values
     return ScalarField(spec, out)
 
 
@@ -272,17 +264,14 @@ def ch_step(
     vel: MacVelocity,
     p: ModelParams,
     dt: float,
-    cfg: SolverConfig = SolverConfig(),
     source: ScalarField | None = None,
-    nphi: ScalarField | None = None,
 ) -> tuple[ScalarField, ScalarField, ChdStepReport]:
     """One implicit phase-field update against the frozen velocity.
 
     ``source`` adds a cell forcing to the right-hand side (used by
-    manufactured-solution tests).  ``nphi`` may carry a precomputed
-    ``N(phi - mean phi)``; otherwise it is solved for when ``beta`` is
-    nonzero.  Returns the new phase field, the chemical potential of the
-    scheme (including its explicit lags) and a solver report.
+    manufactured-solution tests).  Returns the new phase field, the
+    chemical potential of the scheme (including its explicit lags) and a
+    solver report.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -292,9 +281,7 @@ def ch_step(
     adv = advect_scalar(vel, phi).values
     g_expl = -p.theta0 * phi.values - p.chi * sigma.values
     if p.beta != 0.0:
-        if nphi is None:
-            nphi, _ = nonlocal_potential(phi, cfg)
-        g_expl = g_expl + p.beta * nphi.values
+        g_expl = g_expl + p.beta * nonlocal_potential(phi)[0].values
 
     src = 0.0 if source is None else source.values
     src_mean = 0.0 if source is None else float(source.values.mean())
@@ -328,15 +315,13 @@ def sigma_step(
     vel: MacVelocity,
     p: ModelParams,
     dt: float,
-    cfg: SolverConfig = SolverConfig(),
     source: ScalarField | None = None,
-) -> tuple[ScalarField, int]:
+) -> ScalarField:
     """Implicit diffusion of the solute with explicit transport and
     cross-diffusion against the fresh phase field.
 
-    Returns the new solute field and an iteration count, which is 0
-    because the Helmholtz solve is an exact cosine-transform solve.  The
-    conserved mean is enforced to rounding by recentering.
+    The Helmholtz solve is an exact cosine-transform solve; the conserved
+    mean is enforced to rounding by recentering.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -349,14 +334,13 @@ def sigma_step(
 
     sol = neumann_helmholtz(ScalarField(spec, b), dt)
     sol.values += b.mean() - sol.values.mean()
-    return sol, 0
+    return sol
 
 
 def chd_step(
     state: SimState,
     p: ModelParams,
     dt: float,
-    cfg: SolverConfig = SolverConfig(),
     phi_source: ScalarField | None = None,
     sigma_source: ScalarField | None = None,
 ) -> tuple[SimState, ChdStepReport]:
@@ -366,11 +350,9 @@ def chd_step(
     pressure ride along unchanged.
     """
     phi_new, mu_new, report = ch_step(
-        state.phi, state.sigma, state.vel, p, dt, cfg, source=phi_source
+        state.phi, state.sigma, state.vel, p, dt, source=phi_source
     )
-    sigma_new, _ = sigma_step(
-        state.sigma, phi_new, state.vel, p, dt, cfg, source=sigma_source
-    )
+    sigma_new = sigma_step(state.sigma, phi_new, state.vel, p, dt, source=sigma_source)
     new_state = replace(
         state,
         phi=phi_new,

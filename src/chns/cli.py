@@ -34,7 +34,7 @@ import numpy as np
 from .chd import ModelParams, NewtonError, chemical_potential
 from .coupled import RunConfig, ScenarioConfig, run
 from .diagnostics import LEDGER_FIELDS, LedgerRow, mass_check, separation
-from .elliptic import SolverConfig, SolverError
+from .elliptic import SolverError
 from .grid import (
     GridSpec,
     MacVelocity,
@@ -45,7 +45,6 @@ from .grid import (
     grad_to_faces,
     l2_inner,
     laplacian_neumann,
-    mean,
 )
 from .hydro import CflError
 from .state import SimState
@@ -411,7 +410,6 @@ def run_checks(cfg: RunConfig, tols: CheckTolerances = CheckTolerances()) -> lis
 
     spec = cfg.grid
     p = cfg.params
-    solver = cfg.solver
     rng = np.random.default_rng(2024)
     results = []
 
@@ -439,12 +437,12 @@ def run_checks(cfg: RunConfig, tols: CheckTolerances = CheckTolerances()) -> lis
     u = ScalarField(spec, u0)
     rhs_field = ScalarField(spec, -laplacian_neumann(u).values)
     rhs_field.values -= rhs_field.values.mean()
-    back = inverse_neumann_laplacian(rhs_field, solver)
+    back = inverse_neumann_laplacian(rhs_field)
     err = float(np.max(np.abs(back.values - u0))) / max(float(np.max(np.abs(u0))), 1e-300)
     results.append(("inverse-laplacian round trip", err <= tols.neumann_round_trip, f"rel err {err:.2e}"))
 
     src = ScalarField(spec, u0.copy())
-    nsrc = inverse_neumann_laplacian(src, solver)
+    nsrc = inverse_neumann_laplacian(src)
     lhs = grad_norm_sq(nsrc)
     rhs = l2_inner(src, nsrc)
     scale = max(abs(lhs), abs(rhs), 1.0e-300)
@@ -456,10 +454,10 @@ def run_checks(cfg: RunConfig, tols: CheckTolerances = CheckTolerances()) -> lis
     delta = rng.standard_normal((spec.nx, spec.ny))
     delta -= delta.mean()
     h = 1.0e-5
-    fp = free_energy(ScalarField(spec, phi.values + h * delta), sigma, p, solver)
-    fm = free_energy(ScalarField(spec, phi.values - h * delta), sigma, p, solver)
+    fp = free_energy(ScalarField(spec, phi.values + h * delta), sigma, p)
+    fm = free_energy(ScalarField(spec, phi.values - h * delta), sigma, p)
     fd = (fp - fm) / (2.0 * h)
-    mu = chemical_potential(phi, sigma, p, solver)
+    mu = chemical_potential(phi, sigma, p)
     pairing = l2_inner(mu, ScalarField(spec, delta))
     scale = max(abs(fd), abs(pairing), 1.0e-300)
     err = abs(fd - pairing) / scale
@@ -472,7 +470,6 @@ def run_checks(cfg: RunConfig, tols: CheckTolerances = CheckTolerances()) -> lis
         t_end=0.2,
         scenario=cfg.scenario if cfg.scenario.name != "droplet" else ScenarioConfig(),
         seed=cfg.seed,
-        solver=solver,
     )
     _, rows = run(small)
     report = mass_check(rows, p)
@@ -573,7 +570,7 @@ def _cmd_stationary(inv: CliInvocation, seed_snapshot: str) -> int:
     eq_state = SimState(
         vel=MacVelocity.zeros(cfg.grid),
         phi=eq.phi,
-        mu=chemical_potential(eq.phi, eq.sigma, cfg.params, cfg.solver),
+        mu=chemical_potential(eq.phi, eq.sigma, cfg.params),
         sigma=eq.sigma,
         pressure=ScalarField.zeros(cfg.grid),
         t=state.t,

@@ -16,7 +16,7 @@ Scenarios:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -89,6 +89,8 @@ class RunConfig:
     #: Steps between ``on_record`` callbacks; 0 records only the first
     #: and final states.  The ledger itself is always per step.
     cadence: int = 0
+    #: Only ``rel_tol`` is read: it sets the residual target of
+    #: :func:`~chns.stationary.solve_stationary`.
     solver: SolverConfig = SolverConfig()
 
     def __post_init__(self) -> None:
@@ -165,7 +167,7 @@ def initial_state(cfg: RunConfig) -> SimState:
 
     phi = ScalarField(spec, _clip_phase(phi_vals))
     sigma = ScalarField(spec, sigma_vals)
-    mu = chemical_potential(phi, sigma, p, cfg.solver)
+    mu = chemical_potential(phi, sigma, p)
     return SimState(
         vel=vel,
         phi=phi,
@@ -188,15 +190,12 @@ def cfl_dt(vel: MacVelocity, base_dt: float, safety: float = 0.5) -> float:
 
 
 def coupled_step(
-    state: SimState,
-    p: ModelParams,
-    dt: float,
-    cfg: SolverConfig = SolverConfig(),
+    state: SimState, p: ModelParams, dt: float
 ) -> tuple[SimState, ChdStepReport, ProjectionReport]:
     """Transport against the frozen velocity, then the projection step
     driven by the fresh fields."""
-    mid, chd_report = chd_step(state, p, dt, cfg)
-    vel_new, pressure, proj = ns_step(state.vel, mid.phi, mid.mu, mid.sigma, p, dt, cfg)
+    mid, chd_report = chd_step(state, p, dt)
+    vel_new, pressure, proj = ns_step(state.vel, mid.phi, mid.mu, mid.sigma, p, dt)
     return replace(mid, vel=vel_new, pressure=pressure), chd_report, proj
 
 
@@ -209,7 +208,7 @@ def run(cfg: RunConfig, on_record=None) -> tuple[SimState, list]:
     one, which is where snapshot writers hook in.
     """
     state = initial_state(cfg)
-    rows: list[LedgerRow] = [ledger_row(state, cfg.params, cfg.solver)]
+    rows: list[LedgerRow] = [ledger_row(state, cfg.params)]
     if on_record is not None:
         on_record(state, rows[0])
     hydro = cfg.scenario.evolves_velocity
@@ -218,19 +217,13 @@ def run(cfg: RunConfig, on_record=None) -> tuple[SimState, list]:
         dt = cfl_dt(state.vel, cfg.dt, cfg.cfl_safety)
         dt = min(dt, cfg.t_end - state.t)
         if hydro:
-            state, chd_report, proj = coupled_step(state, cfg.params, dt, cfg.solver)
+            state, chd_report, proj = coupled_step(state, cfg.params, dt)
             div_inf = proj.div_inf_norm
         else:
-            state, chd_report = chd_step(state, cfg.params, dt, cfg.solver)
+            state, chd_report = chd_step(state, cfg.params, dt)
             div_inf = None
         row = ledger_row(
-            state,
-            cfg.params,
-            cfg.solver,
-            prev=rows[-1],
-            dt=dt,
-            report=chd_report,
-            div_inf=div_inf,
+            state, cfg.params, prev=rows[-1], dt=dt, report=chd_report, div_inf=div_inf
         )
         rows.append(row)
         final = state.t >= cfg.t_end - 1.0e-12 * max(cfg.t_end, 1.0)

@@ -23,7 +23,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .chd import ChdStepReport, ModelParams, nonlocal_potential
-from .elliptic import SolverConfig
 from .grid import (
     ScalarField,
     div_raw,
@@ -83,17 +82,11 @@ def kinetic_energy(state: SimState) -> float:
     return 0.5 * face_inner(state.vel, state.vel)
 
 
-def free_energy(
-    phi: ScalarField,
-    sigma: ScalarField,
-    p: ModelParams,
-    cfg: SolverConfig = SolverConfig(),
-    nphi: ScalarField | None = None,
-) -> float:
+def free_energy(phi: ScalarField, sigma: ScalarField, p: ModelParams) -> float:
     """Mixing plus interaction free energy of the pair ``(phi, sigma)``.
 
-    ``nphi`` may carry a precomputed ``N(phi - mean phi)`` to avoid the
-    elliptic solve behind the nonlocal term.
+    The nonlocal term costs one cosine-transform solve for
+    ``N(phi - mean phi)`` when ``beta`` is nonzero.
     """
     out = 0.5 * grad_norm_sq(phi) + integrate(ScalarField(phi.grid, psi(phi.values, p.potential)))
     out += 0.5 * l2_inner(sigma, sigma)
@@ -101,19 +94,13 @@ def free_energy(
         out -= p.chi * l2_inner(sigma, phi)
     if p.beta != 0.0:
         fluct = ScalarField(phi.grid, phi.values - phi.values.mean())
-        if nphi is None:
-            nphi, _ = nonlocal_potential(phi, cfg)
+        nphi, _ = nonlocal_potential(phi)
         out += 0.5 * p.beta * l2_inner(fluct, nphi)
     return out
 
 
-def total_energy(
-    state: SimState,
-    p: ModelParams,
-    cfg: SolverConfig = SolverConfig(),
-    nphi: ScalarField | None = None,
-) -> float:
-    return kinetic_energy(state) + free_energy(state.phi, state.sigma, p, cfg, nphi)
+def total_energy(state: SimState, p: ModelParams) -> float:
+    return kinetic_energy(state) + free_energy(state.phi, state.sigma, p)
 
 
 def dissipation(state: SimState, p: ModelParams) -> tuple[float, float, float]:
@@ -145,7 +132,6 @@ def bel_residual(
 def ledger_row(
     state: SimState,
     p: ModelParams,
-    cfg: SolverConfig = SolverConfig(),
     prev: LedgerRow | None = None,
     dt: float | None = None,
     report: ChdStepReport | None = None,
@@ -156,11 +142,8 @@ def ledger_row(
     ``prev`` and ``dt`` feed the energy-balance residual; the first row
     of a run leaves it at zero.
     """
-    nphi = None
-    if p.beta != 0.0:
-        nphi, _ = nonlocal_potential(state.phi, cfg)
     kin = kinetic_energy(state)
-    free = free_energy(state.phi, state.sigma, p, cfg, nphi)
+    free = free_energy(state.phi, state.sigma, p)
     total = kin + free
     d_visc, d_mu, d_cross = dissipation(state, p)
     oono = p.alpha * (mean(state.phi) - p.c0) * integrate(state.mu)

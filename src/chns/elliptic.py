@@ -138,14 +138,11 @@ def _solve_diagonal(
     return coef
 
 
-def inverse_neumann_laplacian(
-    f: ScalarField, cfg: SolverConfig = SolverConfig()
-) -> ScalarField:
+def inverse_neumann_laplacian(f: ScalarField) -> ScalarField:
     """Zero-mean solution ``u`` of ``-lap u = f`` with zero-flux walls.
 
     The right-hand side must be compatible: its mean may not exceed
-    ``1e-10 * |f|_inf``.  The solve is exact to rounding; ``cfg`` is not
-    consulted.
+    ``1e-10 * |f|_inf``.  The solve is exact to rounding.
     """
     vals = f.values
     f_inf = float(np.max(np.abs(vals))) if vals.size else 0.0
@@ -202,13 +199,13 @@ def face_helmholtz(
     return u, v
 
 
-def v0_norm_sq(f: ScalarField, cfg: SolverConfig = SolverConfig()) -> float:
+def v0_norm_sq(f: ScalarField) -> float:
     """Squared dual seminorm ``(f, N f)`` of a zero-mean field.
 
     Equals the Dirichlet energy of ``N f`` by the discrete adjointness,
     and scales exactly quadratically in ``f``.
     """
-    nf = inverse_neumann_laplacian(f, cfg)
+    nf = inverse_neumann_laplacian(f)
     return l2_inner(f, nf)
 
 

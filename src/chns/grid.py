@@ -25,14 +25,11 @@ Quadrature is midpoint throughout: ``integrate(f) = hx * hy * sum(f)``.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 __all__ = [
-    "DIV_TOL",
-    "DivergenceWarning",
     "GridMismatchError",
     "GridSpec",
     "MacVelocity",
@@ -49,17 +46,9 @@ __all__ = [
     "mean",
 ]
 
-#: Divergence magnitude (max norm) below which a face field counts as
-#: solenoidal for advection purposes.
-DIV_TOL = 1.0e-8
-
 
 class GridMismatchError(ValueError):
     """Fields defined on different grids were combined."""
-
-
-class DivergenceWarning(UserWarning):
-    """Advecting velocity is measurably non-solenoidal."""
 
 
 def check_finite(config) -> None:
@@ -268,15 +257,10 @@ def div_faces(w: MacVelocity) -> ScalarField:
 def advect_scalar(w: MacVelocity, f: ScalarField) -> ScalarField:
     """Transport term ``div(w f)`` for a (nearly) solenoidal face field ``w``.
 
-    Warns if ``w`` is measurably non-solenoidal, since then the result no
-    longer approximates ``w . grad f``.
+    The result approximates ``w . grad f`` only when ``w`` is solenoidal;
+    the run ledger records ``|div w|_inf`` every step.
     """
     _check_same_grid(w, f)
-    div_inf = float(np.max(np.abs(div_raw(w.grid, w.u, w.v))))
-    if div_inf > 10.0 * DIV_TOL:
-        warnings.warn(
-            f"advecting field has |div w|_inf = {div_inf:.3e}", DivergenceWarning, stacklevel=2
-        )
     return ScalarField(f.grid, advect_raw(f.grid, w.u, w.v, f.values))
 
 

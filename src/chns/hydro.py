@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chd import ModelParams
-from .elliptic import SolverConfig, face_helmholtz, neumann_solve
+from .elliptic import face_helmholtz, neumann_solve
 
 # unused here, but perfbench/tracing.py (WRAPS) patches this name on this module
 from .elliptic import cg_raw  # noqa: F401
@@ -203,9 +203,7 @@ def _lap_v(spec: GridSpec, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def project(
-    vel_star: MacVelocity, dt: float, cfg: SolverConfig = SolverConfig()
-) -> tuple[MacVelocity, ScalarField, ProjectionReport]:
+def project(vel_star: MacVelocity, dt: float) -> tuple[MacVelocity, ScalarField, ProjectionReport]:
     """Remove the divergence of ``vel_star``: solve ``lap q = div(v*)/dt``
     and subtract ``dt grad q``.  Returns the corrected field, the
     zero-mean pressure and a report."""
@@ -214,7 +212,7 @@ def project(
     # the discrete divergence integrates to zero analytically; drop the
     # rounding dust so the compatibility check sees a clean mean
     d -= d.mean()
-    q = neumann_solve(ScalarField(spec, -d), cfg)
+    q = neumann_solve(ScalarField(spec, -d))
     gu, gv = grad_raw(spec, q.values)
     vel = MacVelocity(spec, vel_star.u - dt * gu, vel_star.v - dt * gv, trusted=True)
     div_inf = float(np.max(np.abs(div_raw(spec, vel.u, vel.v))))
@@ -228,7 +226,6 @@ def ns_step(
     sigma: ScalarField,
     p: ModelParams,
     dt: float,
-    cfg: SolverConfig = SolverConfig(),
 ) -> tuple[MacVelocity, ScalarField, ProjectionReport]:
     """One projection step of the momentum equation.
 
@@ -259,4 +256,4 @@ def ns_step(
     )
 
     u_star, v_star = face_helmholtz(spec, rhs_u, rhs_v, dt * nu_floor)
-    return project(MacVelocity(spec, u_star, v_star, trusted=True), dt, cfg)
+    return project(MacVelocity(spec, u_star, v_star, trusted=True), dt)

@@ -30,7 +30,6 @@ from . import potential as pot
 from .chd import ModelParams, _newton_solve, nonlocal_potential
 from .elliptic import SolverConfig
 from .grid import ScalarField, grad_norm_sq, integrate, laplacian_raw, mean
-from .state import SimState
 
 __all__ = [
     "Equilibrium",
@@ -66,9 +65,7 @@ class Equilibrium:
     mean_sigma: float
 
 
-def _reduced_energy(
-    phi: np.ndarray, spec, p: ModelParams, cfg: SolverConfig
-) -> tuple[float, ScalarField | None]:
+def _reduced_energy(phi: np.ndarray, spec, p: ModelParams) -> tuple[float, ScalarField | None]:
     """Free energy after eliminating sigma, up to a phi-independent
     constant.  Returns the energy and the nonlocal field for reuse."""
     f = ScalarField(spec, phi)
@@ -76,7 +73,7 @@ def _reduced_energy(
     out -= 0.5 * p.chi**2 * spec.cell_area * float(np.vdot(phi, phi))
     nphi = None
     if p.beta != 0.0:
-        nphi, _ = nonlocal_potential(f, cfg)
+        nphi, _ = nonlocal_potential(f)
         fluct = phi - phi.mean()
         out += 0.5 * p.beta * spec.cell_area * float(np.vdot(fluct, nphi.values))
     return out, nphi
@@ -94,7 +91,9 @@ def solve_stationary(
     The phase mean is pinned to ``c0`` (seed mean when ``alpha`` is
     zero); the solute follows the phase field pointwise.  Iterates until
     the zero-mean equilibrium residual has max norm at most
-    ``cfg.rel_tol * theta0``.
+    ``cfg.rel_tol * theta0``.  Raises :class:`StationaryError` when the
+    shift to the pinned mean leaves no admissible seed for the
+    logarithmic potential.
     """
     spec = phi_seed.grid
     m_target = p.c0 if p.alpha > 0.0 else mean(phi_seed)
@@ -104,13 +103,20 @@ def solve_stationary(
     if p.potential.variant == "logarithmic":
         phi = np.clip(phi, -1.0 + 1.0e-12, 1.0 - 1.0e-12)
         phi += m_target - phi.mean()
+        phi_abs_max = float(np.max(np.abs(phi)))
+        if phi_abs_max >= 1.0:
+            raise StationaryError(
+                f"shifting the seed mean {mean(phi_seed)!r} to the target mean "
+                f"{m_target!r} leaves max|phi| = {phi_abs_max!r} outside the "
+                "logarithmic potential's interval (-1, 1)"
+            )
 
     tol = cfg.rel_tol * p.theta0
     # effective concave coefficient after eliminating sigma
     theta_eff = p.theta0 + p.chi**2
     dtau = 0.1
     dtau_max = 1.0e3 if p.beta == 0.0 else min(1.0e3, 1.0 / abs(p.beta))
-    energy, nphi = _reduced_energy(phi, spec, p, cfg)
+    energy, nphi = _reduced_energy(phi, spec, p)
 
     def residual_field(phi_arr: np.ndarray, nphi_field) -> np.ndarray:
         r = -laplacian_raw(spec, phi_arr) + pot.psi_prime(phi_arr, p.potential)
@@ -135,7 +141,7 @@ def solve_stationary(
         phi_try, _, _, _ = _newton_solve(
             spec, p.potential, phi, dtau, 0.0, g_expl, np.zeros_like(phi), m_target
         )
-        energy_try, nphi_try = _reduced_energy(phi_try, spec, p, cfg)
+        energy_try, nphi_try = _reduced_energy(phi_try, spec, p)
         if energy_try <= energy + 1.0e-13 * max(1.0, abs(energy)):
             phi, energy, nphi = phi_try, energy_try, nphi_try
             dtau = min(dtau * 1.5, dtau_max)
@@ -159,7 +165,7 @@ def solve_stationary(
         sigma=sigma_field,
         residual_inf=res_inf,
         iterations=it,
-        free_energy_value=free_energy(phi_field, sigma_field, p, cfg, nphi),
+        free_energy_value=free_energy(phi_field, sigma_field, p),
         mean_phi=mean(phi_field),
         mean_sigma=mean(sigma_field),
     )

@@ -22,7 +22,7 @@ from chns.coupled import (
     initial_state,
 )
 from chns.diagnostics import free_energy, ledger_row, mass_check, separation
-from chns.elliptic import SolverConfig, inverse_neumann_laplacian
+from chns.elliptic import inverse_neumann_laplacian
 from chns.grid import (
     GridSpec,
     MacVelocity,
@@ -37,7 +37,6 @@ from chns.grid import (
 from chns.potential import PotentialParams
 from chns.stationary import rate_fit, solve_stationary
 
-TIGHT = SolverConfig(rel_tol=1.0e-13)
 COUPLED_PARAMS = ModelParams(chi=0.2, alpha=0.5, beta=1.0)
 
 
@@ -57,22 +56,21 @@ def march(cfg):
     """Explicit step loop mirroring the run driver, keeping the
     barrier-safeguard count."""
     state = initial_state(cfg)
-    rows = [ledger_row(state, cfg.params, cfg.solver)]
+    rows = [ledger_row(state, cfg.params)]
     clipped = 0
     hydro = cfg.scenario.evolves_velocity
     while state.t < cfg.t_end - 1.0e-12 * max(cfg.t_end, 1.0):
         dt = min(cfl_dt(state.vel, cfg.dt, cfg.cfl_safety), cfg.t_end - state.t)
         if hydro:
-            state, rep, proj = coupled_step(state, cfg.params, dt, cfg.solver)
+            state, rep, proj = coupled_step(state, cfg.params, dt)
             div_inf = proj.div_inf_norm
         else:
-            state, rep = chd_step(state, cfg.params, dt, cfg.solver)
+            state, rep = chd_step(state, cfg.params, dt)
             div_inf = None
         clipped += rep.clipped_steps
         rows.append(
             ledger_row(
-                state, cfg.params, cfg.solver, prev=rows[-1], dt=dt, report=rep,
-                div_inf=div_inf,
+                state, cfg.params, prev=rows[-1], dt=dt, report=rep, div_inf=div_inf
             )
         )
     return TrackedRun(rows=rows, final=state, clipped=clipped)
@@ -161,13 +159,13 @@ def test_criterion_1_operator_identities():
         u = ScalarField(spec, u0)
         rhs_field = ScalarField(spec, -laplacian_neumann(u).values)
         rhs_field.values -= rhs_field.values.mean()
-        back = inverse_neumann_laplacian(rhs_field, TIGHT)
+        back = inverse_neumann_laplacian(rhs_field)
         worst = max(
             worst,
             float(np.max(np.abs(back.values - u0)) / np.max(np.abs(u0))),
         )
 
-        nu = inverse_neumann_laplacian(u, TIGHT)
+        nu = inverse_neumann_laplacian(u)
         lhs = grad_norm_sq(nu)
         rhs = l2_inner(u, nu)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
@@ -191,10 +189,10 @@ def test_criterion_2_variational_derivative():
         delta = rng.standard_normal((32, 32))
         delta -= delta.mean()
         h = 1.0e-5
-        fp = free_energy(ScalarField(spec, phi.values + h * delta), sigma, p, TIGHT)
-        fm = free_energy(ScalarField(spec, phi.values - h * delta), sigma, p, TIGHT)
+        fp = free_energy(ScalarField(spec, phi.values + h * delta), sigma, p)
+        fm = free_energy(ScalarField(spec, phi.values - h * delta), sigma, p)
         fd = (fp - fm) / (2.0 * h)
-        mu = chemical_potential(phi, sigma, p, TIGHT)
+        mu = chemical_potential(phi, sigma, p)
         pairing = l2_inner(mu, ScalarField(spec, delta))
         worst = max(worst, abs(fd - pairing) / max(abs(fd), abs(pairing)))
     ok = worst <= 1.0e-6

@@ -16,7 +16,6 @@ from chns.chd import (
     sigma_step,
 )
 from chns.diagnostics import free_energy
-from chns.elliptic import SolverConfig
 from chns.grid import (
     GridSpec,
     MacVelocity,
@@ -165,10 +164,8 @@ def test_step_satisfies_discrete_equations(rng):
     phi = ScalarField(spec, 0.1 + 0.4 * rng.uniform(-1.0, 1.0, (12, 9)))
     sigma = ScalarField(spec, rng.uniform(-0.5, 0.5, (12, 9)))
     dt = 0.02
-    nphi, _ = nonlocal_potential(phi, SolverConfig(rel_tol=1.0e-12))
-    phi_new, mu_new, _ = ch_step(
-        phi, sigma, vel, p, dt, SolverConfig(rel_tol=1.0e-12), nphi=nphi
-    )
+    nphi, _ = nonlocal_potential(phi)
+    phi_new, mu_new, _ = ch_step(phi, sigma, vel, p, dt)
     adv = advect_scalar(vel, phi).values
     res = (
         (phi_new.values - phi.values) / dt
@@ -191,11 +188,10 @@ def test_step_satisfies_discrete_equations(rng):
 def test_sigma_uniform_fixed_point():
     spec = GridSpec(8, 8)
     p = ModelParams(chi=0.7)
-    sig, iters = sigma_step(
+    sig = sigma_step(
         ScalarField.full(spec, 1.4), ScalarField.full(spec, 0.2), MacVelocity.zeros(spec), p, 0.1
     )
     assert np.max(np.abs(sig.values - 1.4)) <= 1.0e-13
-    assert iters <= 1
 
 
 def test_sigma_step_dense_oracle():
@@ -207,10 +203,7 @@ def test_sigma_step_dense_oracle():
     n = spec.nx * spec.ny
     rhs = -dt * p.chi * (lap @ phi_new.values.reshape(-1))
     want = np.linalg.solve(np.eye(n) - dt * lap, rhs).reshape(8, 8)
-    got, _ = sigma_step(
-        ScalarField.zeros(spec), phi_new, MacVelocity.zeros(spec), p, dt,
-        SolverConfig(rel_tol=1.0e-12),
-    )
+    got = sigma_step(ScalarField.zeros(spec), phi_new, MacVelocity.zeros(spec), p, dt)
     assert np.max(np.abs(got.values - want)) <= 1.0e-10
 
 
@@ -221,7 +214,7 @@ def test_sigma_mean_conserved_with_transport(rng):
     phi_new = ScalarField(spec, 0.5 * rng.uniform(-1.0, 1.0, (10, 10)))
     s0 = mean(sigma)
     for _ in range(20):
-        sigma, _ = sigma_step(sigma, phi_new, stream_velocity(spec), p, 0.02)
+        sigma = sigma_step(sigma, phi_new, stream_velocity(spec), p, 0.02)
     assert abs(mean(sigma) - s0) <= 1.0e-14
 
 
@@ -233,9 +226,8 @@ def test_chd_step_is_the_composition(rng):
     state = make_state(spec, phi.copy(), sigma.copy())
     dt = 0.03
     new_state, rep = chd_step(state, p, dt)
-    nphi, _ = nonlocal_potential(phi)
-    phi_new, mu_new, _ = ch_step(phi, sigma, state.vel, p, dt, nphi=nphi)
-    sigma_new, _ = sigma_step(sigma, phi_new, state.vel, p, dt)
+    phi_new, mu_new, _ = ch_step(phi, sigma, state.vel, p, dt)
+    sigma_new = sigma_step(sigma, phi_new, state.vel, p, dt)
     assert np.array_equal(new_state.phi.values, phi_new.values)
     assert np.array_equal(new_state.mu.values, mu_new.values)
     assert np.array_equal(new_state.sigma.values, sigma_new.values)
@@ -327,7 +319,7 @@ def test_variational_derivative_consistency(pparams, rng):
     plus = ScalarField(spec, phi.values + h * delta)
     minus = ScalarField(spec, phi.values - h * delta)
     fd = (free_energy(plus, sigma, p) - free_energy(minus, sigma, p)) / (2.0 * h)
-    mu = chemical_potential(phi, sigma, p, SolverConfig(rel_tol=1.0e-12))
+    mu = chemical_potential(phi, sigma, p)
     pairing = l2_inner(mu, ScalarField(spec, delta))
     assert fd == pytest.approx(pairing, rel=1.0e-6)
 
@@ -335,7 +327,7 @@ def test_variational_derivative_consistency(pparams, rng):
 def test_nonlocal_potential_properties(rng):
     spec = GridSpec(10, 10)
     phi = ScalarField(spec, rng.uniform(-0.5, 0.5, (10, 10)))
-    nphi, _ = nonlocal_potential(phi, SolverConfig(rel_tol=1.0e-12))
+    nphi, _ = nonlocal_potential(phi)
     assert abs(nphi.values.mean()) <= 1.0e-13
     back = -laplacian_neumann(nphi).values
     centered = phi.values - phi.values.mean()
@@ -378,19 +370,18 @@ def transported_residual_sum(dt, nsteps):
     spec = GridSpec(16, 16)
     p = ModelParams(chi=0.2, alpha=0.5, beta=1.0, c0=0.0)
     vel = stream_velocity(spec, 0.5)
-    cfg = SolverConfig(rel_tol=1.0e-12)
     state = make_state(
         spec,
         ScalarField(spec, 0.4 * band_limited_ic(spec, 5)),
         ScalarField(spec, 0.3 * band_limited_ic(spec, 105)),
     )
     state.vel = vel
-    f_prev = free_energy(state.phi, state.sigma, p, cfg)
+    f_prev = free_energy(state.phi, state.sigma, p)
     total = 0.0
     for _ in range(nsteps):
         old_phi, old_sigma = state.phi, state.sigma
-        state, _ = chd_step(state, p, dt, cfg)
-        f_new = free_energy(state.phi, state.sigma, p, cfg)
+        state, _ = chd_step(state, p, dt)
+        f_new = free_energy(state.phi, state.sigma, p)
         cross = ScalarField(spec, state.sigma.values - p.chi * state.phi.values)
         diss = grad_norm_sq(state.mu) + grad_norm_sq(cross)
         oono = p.alpha * (mean(state.phi) - p.c0) * integrate(state.mu)

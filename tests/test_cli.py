@@ -368,6 +368,25 @@ def test_stationary_grid_mismatch_exits_two(tmp_path, rng, capsys):
     assert "does not match" in capsys.readouterr().err
 
 
+def test_stationary_unreachable_mean_exits_three(tmp_path, capsys):
+    # the droplet's phase mean is about -0.59; pinning it to c0 = 0 pushes
+    # the bulk phase past +1, where the logarithmic potential is undefined
+    cfg = write_config(
+        tmp_path,
+        QUICK.replace("t_end = 0.1", "t_end = 0.0")
+        + "\n[params]\nchi = 0.2\nalpha = 0.5\nbeta = 0.0\n\n[scenario]\nname = droplet\n",
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    code = main(["stationary", "--config", cfg, "--seed-snapshot", str(out / "final.bin")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert "max|phi|" in err
+    assert not (out / "equilibrium.bin").exists()
+
+
 def test_ratefit_needs_three_snapshots(tmp_path, rng, capsys):
     write_ledger_csv([], tmp_path / "ledger.csv")
     spec = GridSpec(4, 4)

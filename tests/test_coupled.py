@@ -15,16 +15,13 @@ from chns.coupled import (
     initial_state,
     run,
 )
-from chns.elliptic import SolverConfig
 from chns.grid import GridSpec, MacVelocity, ScalarField, div_raw, mean
 from chns.hydro import ns_step
 from chns.potential import PotentialParams, psi0_prime, psi0_second
 from chns.state import SimState
 
-TIGHT = SolverConfig(rel_tol=1.0e-12)
 
-
-def uniform_state(spec, c0, sigma_mean, p, cfg=TIGHT):
+def uniform_state(spec, c0, sigma_mean, p):
     from chns.chd import chemical_potential
 
     phi = ScalarField.full(spec, c0)
@@ -32,7 +29,7 @@ def uniform_state(spec, c0, sigma_mean, p, cfg=TIGHT):
     return SimState(
         vel=MacVelocity.zeros(spec),
         phi=phi,
-        mu=chemical_potential(phi, sigma, p, cfg),
+        mu=chemical_potential(phi, sigma, p),
         sigma=sigma,
         pressure=ScalarField.zeros(spec),
         t=0.0,
@@ -44,7 +41,7 @@ def test_rest_state_is_fixed_point():
     spec = GridSpec(8, 8)
     p = ModelParams(chi=0.4, alpha=0.6, beta=1.1, c0=0.2)
     state = uniform_state(spec, 0.2, -0.5, p)
-    out, _, _ = coupled_step(state, p, 0.05, TIGHT)
+    out, _, _ = coupled_step(state, p, 0.05)
     assert np.max(np.abs(out.phi.values - 0.2)) <= 1.0e-13
     assert np.max(np.abs(out.sigma.values + 0.5)) <= 1.0e-13
     assert out.vel.max_abs() <= 1.0e-12
@@ -69,9 +66,9 @@ def test_coupled_step_is_the_advertised_composition(rng):
     state.phi = ScalarField(spec, 0.3 * rng.uniform(-1.0, 1.0, (8, 8)))
     state.sigma = ScalarField(spec, 0.2 * rng.uniform(-1.0, 1.0, (8, 8)))
     dt = 0.01
-    out, _, _ = coupled_step(state, p, dt, TIGHT)
-    mid, _ = chd_step(state, p, dt, TIGHT)
-    vel_new, pressure, _ = ns_step(state.vel, mid.phi, mid.mu, mid.sigma, p, dt, TIGHT)
+    out, _, _ = coupled_step(state, p, dt)
+    mid, _ = chd_step(state, p, dt)
+    vel_new, pressure, _ = ns_step(state.vel, mid.phi, mid.mu, mid.sigma, p, dt)
     assert np.array_equal(out.phi.values, mid.phi.values)
     assert np.array_equal(out.sigma.values, mid.sigma.values)
     assert np.array_equal(out.vel.u, vel_new.u)
@@ -283,7 +280,7 @@ def test_model_h_step_matches_dense_oracle(rng):
         t=0.0,
         step=0,
     )
-    out, _, _ = coupled_step(state, p, dt, TIGHT)
+    out, _, _ = coupled_step(state, p, dt)
     phi_o, mu_o, sigma_o, u_o, v_o, q_o = model_h_oracle_step(
         spec, pparams, pparams.theta0, p.nu1, p.nu2, vel, phi0, sigma0, dt
     )
@@ -355,7 +352,6 @@ def test_spinodal_alpha_zero_energy_monotone():
         dt=2.0e-3,
         t_end=0.1,
         seed=3,
-        solver=TIGHT,
     )
     _, rows = run(cfg)
     total = np.array([r.total_energy for r in rows])

@@ -19,7 +19,6 @@ from chns.diagnostics import (
     sigma_l4,
     total_energy,
 )
-from chns.elliptic import SolverConfig
 from chns.grid import (
     GridSpec,
     MacVelocity,
@@ -32,8 +31,6 @@ from chns.grid import (
 from chns.hydro import viscosity_field, viscous_stress_div
 from chns.potential import PotentialParams, psi
 from chns.state import SimState
-
-TIGHT = SolverConfig(rel_tol=1.0e-12)
 
 
 def state_of(spec, vel=None, phi=None, mu=None, sigma=None):
@@ -82,7 +79,7 @@ def test_uniform_free_energy_closed_form():
     spec = GridSpec(10, 6, 1.3, 0.8)
     p = ModelParams(chi=0.4, beta=1.7)
     c, s = 0.3, -0.5
-    got = free_energy(ScalarField.full(spec, c), ScalarField.full(spec, s), p, TIGHT)
+    got = free_energy(ScalarField.full(spec, c), ScalarField.full(spec, s), p)
     want = spec.lx * spec.ly * (psi(c, p.potential) + 0.5 * s * s - p.chi * s * c)
     assert got == pytest.approx(want, rel=1.0e-13)
 
@@ -95,8 +92,8 @@ def test_nonlocal_term_eigenmode_value():
     x, _ = spec.cell_centers()
     phi = ScalarField(spec, 0.1 + a * np.cos(np.pi * x / spec.lx))
     sigma = ScalarField.zeros(spec)
-    base = free_energy(phi, sigma, ModelParams(beta=0.0), TIGHT)
-    with_term = free_energy(phi, sigma, ModelParams(beta=1.7), TIGHT)
+    base = free_energy(phi, sigma, ModelParams(beta=0.0))
+    with_term = free_energy(phi, sigma, ModelParams(beta=1.7))
     lam1 = 2.0 * (1.0 - np.cos(np.pi / spec.nx)) / spec.hx**2
     want = 0.5 * 1.7 * a * a * (spec.lx * spec.ly / 2.0) / lam1
     assert with_term - base == pytest.approx(want, rel=1.0e-12)
@@ -143,8 +140,8 @@ def test_total_energy_is_sum(rng):
         phi=ScalarField(spec, 0.5 * rng.uniform(-1.0, 1.0, (8, 8))),
         sigma=ScalarField(spec, rng.standard_normal((8, 8))),
     )
-    assert total_energy(st, p, TIGHT) == pytest.approx(
-        kinetic_energy(st) + free_energy(st.phi, st.sigma, p, TIGHT), rel=1.0e-14
+    assert total_energy(st, p) == pytest.approx(
+        kinetic_energy(st) + free_energy(st.phi, st.sigma, p), rel=1.0e-14
     )
 
 
@@ -199,10 +196,10 @@ def test_bel_residual_zero_at_fixed_point():
     p = ModelParams(chi=0.4, alpha=0.6, beta=1.1, c0=0.2)
     phi = ScalarField.full(spec, 0.2)
     sigma = ScalarField.full(spec, -0.5)
-    st = state_of(spec, phi=phi, sigma=sigma, mu=chemical_potential(phi, sigma, p, TIGHT))
-    prev = ledger_row(st, p, TIGHT)
-    new_state, rep = chd_step(st, p, 0.05, TIGHT)
-    row = ledger_row(new_state, p, TIGHT, prev=prev, dt=0.05, report=rep)
+    st = state_of(spec, phi=phi, sigma=sigma, mu=chemical_potential(phi, sigma, p))
+    prev = ledger_row(st, p)
+    new_state, rep = chd_step(st, p, 0.05)
+    row = ledger_row(new_state, p, prev=prev, dt=0.05, report=rep)
     assert abs(row.bel_residual) <= 1.0e-12
 
 
@@ -214,7 +211,6 @@ def test_bel_residual_sum_halves_with_dt():
             dt=dt,
             t_end=0.3,
             seed=3,
-            solver=TIGHT,
         )
         _, rows = run(cfg)
         return sum(abs(r.bel_residual) for r in rows)
@@ -232,7 +228,6 @@ def test_decoupled_residual_one_sided():
         t_end=2.5,
         scenario=ScenarioConfig(name="drift", drift_strength=0.0),
         seed=7,
-        solver=TIGHT,
     )
     _, rows = run(cfg)
     assert max(r.bel_residual for r in rows) <= 1.0e-10
@@ -243,7 +238,7 @@ def test_decoupled_residual_one_sided():
 def test_ledger_row_wiring(rng):
     spec = GridSpec(12, 12)
     p = ModelParams(chi=0.3, alpha=0.4, beta=0.8, c0=0.1)
-    cfg = RunConfig(grid=spec, params=p, dt=5.0e-3, t_end=0.02, seed=6, solver=TIGHT)
+    cfg = RunConfig(grid=spec, params=p, dt=5.0e-3, t_end=0.02, seed=6)
     _, rows = run(cfg)
     row = rows[-1]
     assert row.total_energy == pytest.approx(row.kinetic + row.free_energy, rel=1.0e-14)
@@ -255,8 +250,9 @@ def test_ledger_row_wiring(rng):
 
 
 def test_mass_check_alpha_zero():
-    cfg = RunConfig(grid=GridSpec(12, 12), params=ModelParams(chi=0.2), dt=0.01,
-                    t_end=0.1, seed=2, solver=TIGHT)
+    cfg = RunConfig(
+        grid=GridSpec(12, 12), params=ModelParams(chi=0.2), dt=0.01, t_end=0.1, seed=2
+    )
     p = cfg.params
     _, rows = run(cfg)
     rep = mass_check(rows, p)
@@ -275,7 +271,6 @@ def test_mass_check_geometric_law():
         t_end=1.0,
         scenario=ScenarioConfig(name="droplet"),
         seed=8,
-        solver=TIGHT,
     )
     _, rows = run(cfg)
     assert len(rows) == 101
@@ -328,7 +323,7 @@ def test_nonlocal_term_evaluation_paths_agree(rng):
     spec = GridSpec(16, 16)
     phi = ScalarField(spec, rng.uniform(-0.6, 0.6, (16, 16)))
     fluct = ScalarField(spec, phi.values - phi.values.mean())
-    nphi, _ = nonlocal_potential(phi, TIGHT)
+    nphi, _ = nonlocal_potential(phi)
     quad_form = l2_inner(fluct, nphi)
     grad_form = grad_norm_sq(nphi)
     assert quad_form == pytest.approx(grad_form, rel=1.0e-10)

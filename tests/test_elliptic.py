@@ -27,8 +27,6 @@ from chns.grid import (
 )
 from chns.hydro import _lap_u, _lap_v
 
-TIGHT = SolverConfig(rel_tol=1.0e-12)
-
 
 def zero_mean_field(spec, rng):
     vals = rng.standard_normal((spec.nx, spec.ny))
@@ -119,9 +117,9 @@ def test_face_helmholtz_matches_dense_oracle(spec, rng):
 
 def test_zero_input():
     spec = GridSpec(8, 8)
-    out = inverse_neumann_laplacian(ScalarField.zeros(spec), TIGHT)
+    out = inverse_neumann_laplacian(ScalarField.zeros(spec))
     assert np.all(out.values == 0.0)
-    assert v0_norm_sq(ScalarField.zeros(spec), TIGHT) == 0.0
+    assert v0_norm_sq(ScalarField.zeros(spec)) == 0.0
 
 
 def test_cosine_mode_inverse():
@@ -132,7 +130,7 @@ def test_cosine_mode_inverse():
     mode = np.cos(np.pi * x)[:, None] * np.ones((1, spec.ny))
     lam = 2.0 * (1.0 - np.cos(np.pi / spec.nx)) / spec.hx**2
     f = ScalarField(spec, mode)
-    u = inverse_neumann_laplacian(f, TIGHT)
+    u = inverse_neumann_laplacian(f)
     assert np.max(np.abs(u.values - mode / lam)) <= 1.0e-10 / lam
     # and the continuum factor (lx / pi)^2 is approached at O(h^2)
     assert lam == pytest.approx((np.pi / spec.lx) ** 2, rel=5.0e-3)
@@ -143,7 +141,7 @@ def test_round_trip(rng):
     u = zero_mean_field(spec, rng)
     f = ScalarField(spec, -laplacian_raw(spec, u.values))
     f.values -= f.values.mean()  # rounding dust
-    back = inverse_neumann_laplacian(f, TIGHT)
+    back = inverse_neumann_laplacian(f)
     assert np.max(np.abs(back.values - u.values)) <= 1.0e-8 * np.max(np.abs(u.values))
     assert abs(back.values.mean()) <= 1.0e-14
 
@@ -151,7 +149,7 @@ def test_round_trip(rng):
 def test_inverse_property_forward(rng):
     spec = GridSpec(10, 10)
     f = zero_mean_field(spec, rng)
-    u = inverse_neumann_laplacian(f, TIGHT)
+    u = inverse_neumann_laplacian(f)
     res = -laplacian_neumann(u).values - f.values
     assert np.max(np.abs(res)) <= 1.0e-9 * np.max(np.abs(f.values))
 
@@ -160,22 +158,22 @@ def test_dual_norm_identities(rng):
     spec = GridSpec(9, 12, 0.9, 1.4)
     f = zero_mean_field(spec, rng)
     g = zero_mean_field(spec, rng)
-    nf = inverse_neumann_laplacian(f, TIGHT)
-    ng = inverse_neumann_laplacian(g, TIGHT)
+    nf = inverse_neumann_laplacian(f)
+    ng = inverse_neumann_laplacian(g)
     # |grad N f|^2 = (f, N f)
-    assert grad_norm_sq(nf) == pytest.approx(v0_norm_sq(f, TIGHT), rel=1.0e-10)
+    assert grad_norm_sq(nf) == pytest.approx(v0_norm_sq(f), rel=1.0e-10)
     # self-adjointness and positivity
     assert l2_inner(f, ng) == pytest.approx(l2_inner(nf, g), rel=1.0e-10)
-    assert v0_norm_sq(f, TIGHT) > 0.0
+    assert v0_norm_sq(f) > 0.0
     # quadratic scaling
     f2 = ScalarField(spec, 2.0 * f.values)
-    assert v0_norm_sq(f2, TIGHT) == pytest.approx(4.0 * v0_norm_sq(f, TIGHT), rel=1.0e-12)
+    assert v0_norm_sq(f2) == pytest.approx(4.0 * v0_norm_sq(f), rel=1.0e-12)
 
 
 def test_mean_incompatible_rhs_rejected():
     spec = GridSpec(8, 8)
     with pytest.raises(SolverError, match="mean-incompatible"):
-        inverse_neumann_laplacian(ScalarField.full(spec, 1.0), TIGHT)
+        inverse_neumann_laplacian(ScalarField.full(spec, 1.0))
 
 
 def test_identity_operator_one_iteration(rng):
@@ -209,7 +207,7 @@ def test_dense_against_numpy_direct(rng):
         basis.reshape(-1)[j] = 0.0
     aug = np.vstack([mat, np.ones((1, n))])
     want, *_ = np.linalg.lstsq(aug, np.append(f.values.reshape(-1), 0.0), rcond=None)
-    got = inverse_neumann_laplacian(f, TIGHT).values.reshape(-1)
+    got = inverse_neumann_laplacian(f).values.reshape(-1)
     assert np.max(np.abs(got - want)) <= 1.0e-9
 
 

@@ -10,7 +10,6 @@ import pytest
 from conftest import dense_advection_matrix, dense_neumann_laplacian
 
 from chns.grid import (
-    DivergenceWarning,
     GridMismatchError,
     GridSpec,
     MacVelocity,
@@ -142,8 +141,7 @@ def test_advection_matches_dense_oracle(rng):
     spec = GridSpec(4, 4)
     w = random_velocity(spec, rng)
     f = random_field(spec, rng)
-    with pytest.warns(DivergenceWarning):
-        got = advect_scalar(w, f).values.ravel()
+    got = advect_scalar(w, f).values.ravel()
     want = dense_advection_matrix(spec, w) @ f.values.ravel()
     assert np.max(np.abs(got - want)) <= 1.0e-13 * max(np.max(np.abs(want)), 1.0)
 
@@ -166,13 +164,6 @@ def test_advection_zero_velocity(rng):
     spec = GridSpec(5, 5)
     out = advect_scalar(MacVelocity.zeros(spec), random_field(spec, rng))
     assert np.all(out.values == 0.0)
-
-
-def test_advection_warns_on_compressible_field(rng):
-    spec = GridSpec(6, 6)
-    w = random_velocity(spec, rng)  # generic interior data, divergence O(1)
-    with pytest.warns(DivergenceWarning):
-        advect_scalar(w, random_field(spec, rng))
 
 
 def test_stream_function_velocity_is_divergence_free(rng):

@@ -70,7 +70,7 @@ def test_self_consistency_of_converged_output(variant):
 
     r = -laplacian_raw(spec, eq.phi.values) + psi_prime(eq.phi.values, p.potential)
     r -= p.chi * eq.sigma.values
-    nphi, _ = nonlocal_potential(eq.phi, TIGHT)
+    nphi, _ = nonlocal_potential(eq.phi)
     r += p.beta * nphi.values
     r -= r.mean()
     assert np.max(np.abs(r)) <= 2.0 * TIGHT.rel_tol * p.theta0
@@ -93,7 +93,7 @@ def test_energy_not_increased_from_run_end():
     )
     state, _ = run(cfg)
     eq = solve_stationary(state.phi, state.sigma, cfg.params, cfg.solver)
-    f_end = free_energy(state.phi, state.sigma, cfg.params, cfg.solver)
+    f_end = free_energy(state.phi, state.sigma, cfg.params)
     assert eq.free_energy_value <= f_end + 1.0e-8
 
 
