@@ -1,10 +1,13 @@
 """Command-line front end: configured runs, equilibria, rate fits, checks.
 
 Configuration is INI-style text with sections ``[grid]``, ``[params]``,
-``[time]``, ``[scenario]`` and ``[output]``; every key has a default, so
-a minimal file only needs the grid size.  Unknown sections or keys are
-rejected; a key repeated within a section keeps its last value and emits
-a warning.  ``--set section.key=value`` overrides individual entries.
+``[time]``, ``[scenario]`` and ``[output]``.  The config dataclasses are
+the schema: a key sets the field of the same name (``_SCHEMA`` lists the
+three that sit elsewhere), is converted by that field's type, and takes
+the field's default when left out; the grid defaults to 64 x 64.
+Unknown sections or keys are rejected; a key repeated within a section
+keeps its last value and emits a warning.  ``--set section.key=value``
+overrides individual entries.
 
 Outputs are a per-step CSV ledger (full round-trip precision, so every
 value re-parses to the exact double) and binary snapshots: an ASCII
@@ -13,8 +16,9 @@ sigma, pressure, u-faces, v-faces as row-major little-endian float64.
 Runs are byte-for-byte reproducible for a fixed configuration and seed.
 
 Exit codes: 0 success, 1 invariant or analysis failure, 2 usage or
-configuration error, 3 solver failure.  The environment variable
-``CHNS_THREADS`` caps numerical thread parallelism (0 or unset: automatic).
+configuration error, 3 solver failure.  BLAS thread counts follow the
+standard ``OPENBLAS_NUM_THREADS``/``OMP_NUM_THREADS`` variables, which
+must be set before the process starts; outputs do not depend on them.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import re
 import sys
 import warnings
 from configparser import ConfigParser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +51,7 @@ from .grid import (
     laplacian_neumann,
 )
 from .hydro import CflError
+from .potential import PotentialParams
 from .state import SimState
 from .stationary import (
     RateFitError,
@@ -58,7 +63,6 @@ from .stationary import (
 
 __all__ = [
     "CheckTolerances",
-    "CliInvocation",
     "ConfigError",
     "SnapshotError",
     "main",
@@ -81,74 +85,35 @@ class SnapshotError(ConfigError):
     """Snapshot file is not in the expected format."""
 
 
-@dataclass
-class CliInvocation:
-    """Parsed command line, kept for reporting and tests."""
+def _keys(cls, skip: tuple = ()) -> dict:
+    """``key -> (cls, key)`` for each int, float or str field of ``cls``.
 
-    command: str
-    config_path: str | None = None
-    overrides: list = field(default_factory=list)
-    out_dir: str | None = None
-    seed: int | None = None
+    The model modules postpone annotations, so ``f.type`` is the
+    annotation's text.
+    """
+    return {
+        f.name: (cls, f.name)
+        for f in fields(cls)
+        if f.type in ("int", "float", "str") and f.name not in skip
+    }
 
 
-_SECTION_KEYS = {
-    "grid": ("nx", "ny", "lx", "ly"),
-    "params": (
-        "nu1",
-        "nu2",
-        "theta",
-        "theta0",
-        "chi",
-        "alpha",
-        "beta",
-        "c0",
-        "gamma",
-        "potential",
-    ),
-    "time": ("dt", "t_end", "cfl_safety"),
-    "scenario": (
-        "name",
-        "amplitude",
-        "sigma_mean",
-        "radius",
-        "width",
-        "center_x",
-        "center_y",
-        "drift_strength",
-        "seed",
-    ),
-    "output": ("cadence",),
-}
-
-_DEFAULTS = {
-    "grid": {"nx": "64", "ny": "64", "lx": "1.0", "ly": "1.0"},
+#: ``[section] key -> (dataclass, field)``: a key names the field it sets
+#: and takes that field's default, except where spelled out here
+_SCHEMA = {
+    "grid": _keys(GridSpec),
     "params": {
-        "nu1": "1.0",
-        "nu2": "1.0",
-        "theta": "1.0",
-        "theta0": "2.0",
-        "chi": "0.0",
-        "alpha": "0.0",
-        "beta": "0.0",
-        "c0": "0.0",
-        "gamma": "0.0",
-        "potential": "logarithmic",
+        **_keys(ModelParams),
+        **_keys(PotentialParams, skip=("variant",)),
+        "potential": (PotentialParams, "variant"),
     },
-    "time": {"dt": "1e-3", "t_end": "1.0", "cfl_safety": "0.5"},
-    "scenario": {
-        "name": "spinodal",
-        "amplitude": "0.05",
-        "sigma_mean": "0.0",
-        "radius": "0.25",
-        "width": "0.05",
-        "center_x": "0.5",
-        "center_y": "0.5",
-        "drift_strength": "0.1",
-        "seed": "0",
-    },
-    "output": {"cadence": "0"},
+    "time": _keys(RunConfig, skip=("seed", "cadence")),
+    "scenario": {**_keys(ScenarioConfig), "seed": (RunConfig, "seed")},
+    "output": {"cadence": (RunConfig, "cadence")},
 }
+
+#: GridSpec has no default size; the CLI runs 64 x 64 unless told otherwise
+_GRID_DEFAULT = {"nx": "64", "ny": "64"}
 
 
 def _warn_duplicate_keys(text: str) -> None:
@@ -181,98 +146,59 @@ def parse_config(path: str | os.PathLike | None, overrides: list | None = None) 
     Overrides take the form ``section.key=value``.  Unknown sections or
     keys raise :class:`ConfigError`, as do values the model rejects.
     """
-    table = {sec: dict(defaults) for sec, defaults in _DEFAULTS.items()}
+    given = {("grid", key): value for key, value in _GRID_DEFAULT.items()}
     if path is not None:
         text = Path(path).read_text()
         _warn_duplicate_keys(text)
         parser = ConfigParser(strict=False, interpolation=None)
         parser.read_string(text, source=str(path))
         for sec in parser.sections():
-            if sec not in _SECTION_KEYS:
+            if sec not in _SCHEMA:
                 raise ConfigError(f"unknown config section [{sec}]")
             for key, value in parser.items(sec):
-                if key not in _SECTION_KEYS[sec]:
+                if key not in _SCHEMA[sec]:
                     raise ConfigError(f"unknown key {key!r} in section [{sec}]")
-                table[sec][key] = value
+                given[sec, key] = value
     for item in overrides or []:
         m = re.fullmatch(r"([a-z]+)\.([a-z0-9_]+)=(.*)", item.strip())
         if not m:
             raise ConfigError(f"override {item!r} is not of the form section.key=value")
         sec, key, value = m.group(1), m.group(2), m.group(3)
-        if sec not in _SECTION_KEYS or key not in _SECTION_KEYS[sec]:
+        if key not in _SCHEMA.get(sec, ()):
             raise ConfigError(f"unknown override target {sec}.{key}")
-        table[sec][key] = value
-    return _build_run_config(table)
+        given[sec, key] = value
+    return _build_run_config(given)
 
 
-def _to_int(sec: str, key: str, raw: str) -> int:
+def _convert(kind: str, label: str, raw: str):
+    if kind == "str":
+        return raw.strip().lower()
     try:
-        return int(raw)
+        return int(raw) if kind == "int" else float(raw)
     except ValueError as exc:
-        raise ConfigError(f"{sec}.{key} must be an integer, got {raw!r}") from exc
+        wanted = "an integer" if kind == "int" else "a number"
+        raise ConfigError(f"{label} must be {wanted}, got {raw!r}") from exc
 
 
-def _to_float(sec: str, key: str, raw: str) -> float:
+def _build_run_config(given: dict) -> RunConfig:
+    """Build the nested dataclasses from ``{(section, key): raw text}``."""
+    raw = {_SCHEMA[sec][key]: (f"{sec}.{key}", value) for (sec, key), value in given.items()}
+    built = {}
     try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{sec}.{key} must be a number, got {raw!r}") from exc
-
-
-def _build_run_config(table: dict) -> RunConfig:
-    from .potential import PotentialParams
-
-    g = table["grid"]
-    p = table["params"]
-    t = table["time"]
-    s = table["scenario"]
-    o = table["output"]
-    try:
-        grid = GridSpec(
-            nx=_to_int("grid", "nx", g["nx"]),
-            ny=_to_int("grid", "ny", g["ny"]),
-            lx=_to_float("grid", "lx", g["lx"]),
-            ly=_to_float("grid", "ly", g["ly"]),
-        )
-        potential = PotentialParams(
-            variant=p["potential"].strip().lower(),
-            theta=_to_float("params", "theta", p["theta"]),
-            theta0=_to_float("params", "theta0", p["theta0"]),
-        )
-        params = ModelParams(
-            nu1=_to_float("params", "nu1", p["nu1"]),
-            nu2=_to_float("params", "nu2", p["nu2"]),
-            chi=_to_float("params", "chi", p["chi"]),
-            alpha=_to_float("params", "alpha", p["alpha"]),
-            beta=_to_float("params", "beta", p["beta"]),
-            c0=_to_float("params", "c0", p["c0"]),
-            gamma=_to_float("params", "gamma", p["gamma"]),
-            potential=potential,
-        )
-        scenario = ScenarioConfig(
-            name=s["name"].strip().lower(),
-            amplitude=_to_float("scenario", "amplitude", s["amplitude"]),
-            sigma_mean=_to_float("scenario", "sigma_mean", s["sigma_mean"]),
-            radius=_to_float("scenario", "radius", s["radius"]),
-            width=_to_float("scenario", "width", s["width"]),
-            center_x=_to_float("scenario", "center_x", s["center_x"]),
-            center_y=_to_float("scenario", "center_y", s["center_y"]),
-            drift_strength=_to_float("scenario", "drift_strength", s["drift_strength"]),
-        )
-        return RunConfig(
-            grid=grid,
-            params=params,
-            dt=_to_float("time", "dt", t["dt"]),
-            t_end=_to_float("time", "t_end", t["t_end"]),
-            cfl_safety=_to_float("time", "cfl_safety", t["cfl_safety"]),
-            scenario=scenario,
-            seed=_to_int("scenario", "seed", s["seed"]),
-            cadence=_to_int("output", "cadence", o["cadence"]),
-        )
+        # each dataclass is built, and validated, before the ones holding it
+        for cls in (GridSpec, PotentialParams, ModelParams, ScenarioConfig, RunConfig):
+            kwargs = {}
+            for f in fields(cls):
+                if f.type in built:
+                    kwargs[f.name] = built[f.type]
+                elif (cls, f.name) in raw:
+                    kwargs[f.name] = _convert(f.type, *raw[cls, f.name])
+            built[cls.__name__] = cls(**kwargs)
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    return built["RunConfig"]
 
 
 # ledger CSV
@@ -490,43 +416,14 @@ def run_checks(cfg: RunConfig, tols: CheckTolerances = CheckTolerances()) -> lis
     return results
 
 
-# thread cap
-
-
-def _apply_thread_cap() -> None:
-    raw = os.environ.get("CHNS_THREADS")
-    if not raw:
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        warnings.warn(f"ignoring non-integer CHNS_THREADS={raw!r}", UserWarning)
-        return
-    if n < 0:
-        warnings.warn(f"ignoring negative CHNS_THREADS={n}", UserWarning)
-        return
-    if n == 0:
-        return  # automatic
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=n)
-    except ImportError:
-        # best effort for subprocesses and late-loading BLAS backends
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(n))
-
-
 # subcommands
 
 
-def _cmd_run(inv: CliInvocation) -> int:
-    cfg = parse_config(inv.config_path, inv.overrides)
-    if inv.seed is not None:
-        from dataclasses import replace
-
-        cfg = replace(cfg, seed=inv.seed)
-    out_dir = Path(inv.out_dir or "chns_out")
+def _cmd_run(args: argparse.Namespace) -> int:
+    cfg = parse_config(args.config, args.overrides)
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
+    out_dir = Path(args.out_dir or "chns_out")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def record(state: SimState, row) -> None:
@@ -557,15 +454,15 @@ def _cmd_run(inv: CliInvocation) -> int:
     return 0
 
 
-def _cmd_stationary(inv: CliInvocation, seed_snapshot: str) -> int:
-    cfg = parse_config(inv.config_path, inv.overrides)
-    state = read_snapshot(seed_snapshot)
+def _cmd_stationary(args: argparse.Namespace) -> int:
+    cfg = parse_config(args.config, args.overrides)
+    state = read_snapshot(args.seed_snapshot)
     if state.grid != cfg.grid:
         raise ConfigError(
             f"snapshot grid {state.grid} does not match configured grid {cfg.grid}"
         )
     eq = solve_stationary(state.phi, state.sigma, cfg.params, cfg.solver)
-    out_dir = Path(inv.out_dir) if inv.out_dir else Path(seed_snapshot).parent
+    out_dir = Path(args.out_dir) if args.out_dir else Path(args.seed_snapshot).parent
     out_dir.mkdir(parents=True, exist_ok=True)
     eq_state = SimState(
         vel=MacVelocity.zeros(cfg.grid),
@@ -587,14 +484,12 @@ def _cmd_stationary(inv: CliInvocation, seed_snapshot: str) -> int:
     return 0
 
 
-def _cmd_ratefit(ledger_path: str, equilibrium_path: str) -> int:
-    rows = read_ledger_csv(ledger_path)
-    eq_state = read_snapshot(equilibrium_path)
-    snap_dir = Path(ledger_path).parent
-    snaps = sorted(snap_dir.glob("snap_*.bin"))
+def _cmd_ratefit(args: argparse.Namespace) -> int:
+    eq_state = read_snapshot(args.equilibrium)
+    snaps = sorted(Path(args.snapshots).glob("snap_*.bin"))
     if len(snaps) < 3:
         raise ConfigError(
-            f"need at least 3 periodic snapshots next to {ledger_path} "
+            f"need at least 3 periodic snapshots in {args.snapshots} "
             "(rerun with [output] cadence > 0)"
         )
     times = []
@@ -608,16 +503,15 @@ def _cmd_ratefit(ledger_path: str, equilibrium_path: str) -> int:
     fit = rate_fit(np.asarray(times), np.asarray(deficits))
     print(
         f"ratefit: kappa_hat = {fit.kappa_hat:.6f} from slope {fit.slope:.6f} "
-        f"over {fit.n_points} points (r^2 = {fit.r_squared:.6f}); "
-        f"ledger had {len(rows)} rows"
+        f"over {fit.n_points} points (r^2 = {fit.r_squared:.6f})"
     )
     if fit.flagged:
         print(f"flagged: {fit.reason}")
     return 0
 
 
-def _cmd_check(inv: CliInvocation) -> int:
-    cfg = parse_config(inv.config_path, inv.overrides)
+def _cmd_check(args: argparse.Namespace) -> int:
+    cfg = parse_config(args.config, args.overrides)
     results = run_checks(cfg)
     failed = [name for name, ok, _ in results if not ok]
     for name, ok, detail in results:
@@ -635,7 +529,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
+    def add_common(sp, handler):
+        sp.set_defaults(handler=handler)
         sp.add_argument("--config", help="INI-style configuration file")
         sp.add_argument(
             "--set",
@@ -647,45 +542,32 @@ def _build_parser() -> argparse.ArgumentParser:
         )
 
     sp_run = sub.add_parser("run", help="march a scenario and write ledger plus snapshots")
-    add_common(sp_run)
+    add_common(sp_run, _cmd_run)
     sp_run.add_argument("--out", dest="out_dir", help="output directory (default chns_out)")
     sp_run.add_argument("--seed", type=int, help="override the scenario seed")
 
     sp_st = sub.add_parser("stationary", help="relax a snapshot to a stationary state")
-    add_common(sp_st)
+    add_common(sp_st, _cmd_stationary)
     sp_st.add_argument("--seed-snapshot", required=True, help="snapshot to relax from")
     sp_st.add_argument("--out", dest="out_dir", help="output directory (default: beside the snapshot)")
 
     sp_rf = sub.add_parser("ratefit", help="fit the algebraic decay rate toward an equilibrium")
-    sp_rf.add_argument("--ledger", required=True, help="ledger.csv from a run with snapshots")
+    sp_rf.add_argument(
+        "--snapshots", required=True, metavar="DIR", help="output directory of a run with cadence > 0"
+    )
     sp_rf.add_argument("--equilibrium", required=True, help="equilibrium snapshot")
+    sp_rf.set_defaults(handler=_cmd_ratefit)
 
     sp_ck = sub.add_parser("check", help="run the quick invariant battery")
-    add_common(sp_ck)
+    add_common(sp_ck, _cmd_check)
     return parser
 
 
 def main(argv: list | None = None) -> int:
-    _apply_thread_cap()
     parser = _build_parser()
     args = parser.parse_args(argv)
-    inv = CliInvocation(
-        command=args.command,
-        config_path=getattr(args, "config", None),
-        overrides=list(getattr(args, "overrides", [])),
-        out_dir=getattr(args, "out_dir", None),
-        seed=getattr(args, "seed", None),
-    )
     try:
-        if args.command == "run":
-            return _cmd_run(inv)
-        if args.command == "stationary":
-            return _cmd_stationary(inv, args.seed_snapshot)
-        if args.command == "ratefit":
-            return _cmd_ratefit(args.ledger, args.equilibrium)
-        if args.command == "check":
-            return _cmd_check(inv)
-        parser.error(f"unknown command {args.command!r}")
+        return args.handler(args)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -695,7 +577,6 @@ def main(argv: list | None = None) -> int:
     except (SolverError, NewtonError, StationaryError, CflError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
-    return 0
 
 
 if __name__ == "__main__":

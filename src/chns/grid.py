@@ -25,7 +25,7 @@ Quadrature is midpoint throughout: ``integrate(f) = hx * hy * sum(f)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -155,9 +155,6 @@ class MacVelocity:
     grid: GridSpec
     u: np.ndarray
     v: np.ndarray
-    #: Skip the zero-normal-face check (operators that construct compliant
-    #: data directly set this to avoid re-validating in hot loops).
-    trusted: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.u = np.asarray(self.u, dtype=np.float64)
@@ -168,15 +165,14 @@ class MacVelocity:
                 f"face shapes {self.u.shape}, {self.v.shape} do not match grid "
                 f"{(nx + 1, ny)}, {(nx, ny + 1)}"
             )
-        if not self.trusted:
-            if np.any(self.u[0, :] != 0.0) or np.any(self.u[-1, :] != 0.0) or np.any(
-                self.v[:, 0] != 0.0
-            ) or np.any(self.v[:, -1] != 0.0):
-                raise ValueError("boundary-normal faces must be exactly zero")
+        if np.any(self.u[0, :] != 0.0) or np.any(self.u[-1, :] != 0.0) or np.any(
+            self.v[:, 0] != 0.0
+        ) or np.any(self.v[:, -1] != 0.0):
+            raise ValueError("boundary-normal faces must be exactly zero")
 
     @classmethod
     def zeros(cls, grid: GridSpec) -> "MacVelocity":
-        return cls(grid, np.zeros((grid.nx + 1, grid.ny)), np.zeros((grid.nx, grid.ny + 1)), trusted=True)
+        return cls(grid, np.zeros((grid.nx + 1, grid.ny)), np.zeros((grid.nx, grid.ny + 1)))
 
     @classmethod
     def from_stream(cls, grid: GridSpec, psi_corners: np.ndarray) -> "MacVelocity":
@@ -193,7 +189,7 @@ class MacVelocity:
         return cls(grid, u, v)
 
     def copy(self) -> "MacVelocity":
-        return MacVelocity(self.grid, self.u.copy(), self.v.copy(), trusted=True)
+        return MacVelocity(self.grid, self.u.copy(), self.v.copy())
 
     def max_abs(self) -> float:
         mu = float(np.max(np.abs(self.u))) if self.u.size else 0.0
@@ -247,7 +243,7 @@ def laplacian_neumann(f: ScalarField) -> ScalarField:
 def grad_to_faces(f: ScalarField) -> MacVelocity:
     """Centered face differences; boundary-normal faces carry zero."""
     gu, gv = grad_raw(f.grid, f.values)
-    return MacVelocity(f.grid, gu, gv, trusted=True)
+    return MacVelocity(f.grid, gu, gv)
 
 
 def div_faces(w: MacVelocity) -> ScalarField:

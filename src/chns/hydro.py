@@ -124,7 +124,7 @@ def viscous_stress_div(vel: MacVelocity, nu: ScalarField) -> MacVelocity:
     fv[:, 1:-1] = (tyy[:, 1:] - tyy[:, :-1]) / spec.hy + (
         tau[1:, 1:-1] - tau[:-1, 1:-1]
     ) / spec.hx
-    return MacVelocity(spec, fu, fv, trusted=True)
+    return MacVelocity(spec, fu, fv)
 
 
 def dissipation_quadrature(vel: MacVelocity, nu: ScalarField) -> float:
@@ -180,7 +180,7 @@ def korteweg_force(
     gu, gv = grad_raw(spec, phi.values)
     gu[1:-1, :] *= 0.5 * (q[1:, :] + q[:-1, :])
     gv[:, 1:-1] *= 0.5 * (q[:, 1:] + q[:, :-1])
-    return MacVelocity(spec, gu, gv, trusted=True)
+    return MacVelocity(spec, gu, gv)
 
 
 def _lap_u(spec: GridSpec, u: np.ndarray) -> np.ndarray:
@@ -214,7 +214,7 @@ def project(vel_star: MacVelocity, dt: float) -> tuple[MacVelocity, ScalarField,
     d -= d.mean()
     q = neumann_solve(ScalarField(spec, -d))
     gu, gv = grad_raw(spec, q.values)
-    vel = MacVelocity(spec, vel_star.u - dt * gu, vel_star.v - dt * gv, trusted=True)
+    vel = MacVelocity(spec, vel_star.u - dt * gu, vel_star.v - dt * gv)
     div_inf = float(np.max(np.abs(div_raw(spec, vel.u, vel.v))))
     return vel, q, ProjectionReport(div_inf_norm=div_inf)
 
@@ -256,4 +256,4 @@ def ns_step(
     )
 
     u_star, v_star = face_helmholtz(spec, rhs_u, rhs_v, dt * nu_floor)
-    return project(MacVelocity(spec, u_star, v_star, trusted=True), dt)
+    return project(MacVelocity(spec, u_star, v_star), dt)

@@ -6,7 +6,6 @@ import pytest
 from conftest import dense_neumann_laplacian
 
 from chns.chd import (
-    ChdStepReport,
     ModelParams,
     NewtonError,
     ch_step,

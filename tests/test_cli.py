@@ -2,17 +2,20 @@
 invariant battery of the command-line front end."""
 
 import os
-import warnings
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chns
+from chns.chd import ModelParams
 from chns.cli import (
+    _SCHEMA,
     CheckTolerances,
     ConfigError,
     SnapshotError,
-    _apply_thread_cap,
     main,
     parse_config,
     read_ledger_csv,
@@ -21,8 +24,10 @@ from chns.cli import (
     write_ledger_csv,
     write_snapshot,
 )
+from chns.coupled import RunConfig, ScenarioConfig
 from chns.diagnostics import LEDGER_FIELDS, LedgerRow
 from chns.grid import GridSpec, MacVelocity, ScalarField
+from chns.potential import PotentialParams
 from chns.state import SimState
 
 QUICK = """
@@ -80,15 +85,102 @@ def random_state(spec, rng, t=0.0):
 
 
 def test_defaults_without_file():
-    cfg = parse_config(None)
-    assert cfg.grid == GridSpec(64, 64, 1.0, 1.0)
-    assert cfg.params.potential.variant == "logarithmic"
-    assert cfg.params.chi == 0.0
-    assert cfg.dt == 1.0e-3
-    assert cfg.t_end == 1.0
-    assert cfg.scenario.name == "spinodal"
-    assert cfg.seed == 0
-    assert cfg.cadence == 0
+    assert parse_config(None) == RunConfig(
+        grid=GridSpec(nx=64, ny=64, lx=1.0, ly=1.0),
+        params=ModelParams(
+            nu1=1.0,
+            nu2=1.0,
+            chi=0.0,
+            alpha=0.0,
+            beta=0.0,
+            c0=0.0,
+            gamma=0.0,
+            potential=PotentialParams(variant="logarithmic", theta=1.0, theta0=2.0),
+        ),
+        dt=1.0e-3,
+        t_end=1.0,
+        cfl_safety=0.5,
+        scenario=ScenarioConfig(
+            name="spinodal",
+            amplitude=0.05,
+            sigma_mean=0.0,
+            radius=0.25,
+            width=0.05,
+            center_x=0.5,
+            center_y=0.5,
+            drift_strength=0.1,
+        ),
+        seed=0,
+        cadence=0,
+    )
+
+
+# a distinct non-default value for every config key
+EVERY_KEY = [
+    "grid.nx=12",
+    "grid.ny=20",
+    "grid.lx=1.5",
+    "grid.ly=0.75",
+    "params.nu1=2.0",
+    "params.nu2=3.0",
+    "params.theta=1.25",
+    "params.theta0=3.5",
+    "params.chi=0.2",
+    "params.alpha=0.5",
+    "params.beta=1.0",
+    "params.c0=0.1",
+    "params.gamma=0.01",
+    "params.potential= Quartic ",
+    "time.dt=2e-3",
+    "time.t_end=0.6",
+    "time.cfl_safety=0.25",
+    "scenario.name=DROPLET",
+    "scenario.amplitude=0.12",
+    "scenario.sigma_mean=0.15",
+    "scenario.radius=0.3",
+    "scenario.width=0.04",
+    "scenario.center_x=0.4",
+    "scenario.center_y=0.65",
+    "scenario.drift_strength=0.22",
+    "scenario.seed=7",
+    "output.cadence=5",
+]
+
+
+def test_every_key_sets_its_field():
+    keys = {item.split("=")[0] for item in EVERY_KEY}
+    assert keys == {f"{sec}.{key}" for sec, names in _SCHEMA.items() for key in names}
+    default = parse_config(None)
+    for item in EVERY_KEY:
+        assert parse_config(None, [item]) != default, item
+    assert parse_config(None, EVERY_KEY) == RunConfig(
+        grid=GridSpec(nx=12, ny=20, lx=1.5, ly=0.75),
+        params=ModelParams(
+            nu1=2.0,
+            nu2=3.0,
+            chi=0.2,
+            alpha=0.5,
+            beta=1.0,
+            c0=0.1,
+            gamma=0.01,
+            potential=PotentialParams(variant="quartic", theta=1.25, theta0=3.5),
+        ),
+        dt=2.0e-3,
+        t_end=0.6,
+        cfl_safety=0.25,
+        scenario=ScenarioConfig(
+            name="droplet",
+            amplitude=0.12,
+            sigma_mean=0.15,
+            radius=0.3,
+            width=0.04,
+            center_x=0.4,
+            center_y=0.65,
+            drift_strength=0.22,
+        ),
+        seed=7,
+        cadence=5,
+    )
 
 
 def test_minimal_file_keeps_other_defaults(tmp_path):
@@ -388,22 +480,22 @@ def test_stationary_unreachable_mean_exits_three(tmp_path, capsys):
 
 
 def test_ratefit_needs_three_snapshots(tmp_path, rng, capsys):
-    write_ledger_csv([], tmp_path / "ledger.csv")
     spec = GridSpec(4, 4)
     write_snapshot(tmp_path / "equilibrium.bin", random_state(spec, rng))
     write_snapshot(tmp_path / "snap_00000000.bin", random_state(spec, rng))
     write_snapshot(tmp_path / "snap_00000001.bin", random_state(spec, rng))
-    code = main(
-        [
-            "ratefit",
-            "--ledger",
-            str(tmp_path / "ledger.csv"),
-            "--equilibrium",
-            str(tmp_path / "equilibrium.bin"),
-        ]
-    )
-    assert code == 2
-    assert "at least 3" in capsys.readouterr().err
+    for snapshots in (tmp_path, tmp_path / "absent"):
+        code = main(
+            [
+                "ratefit",
+                "--snapshots",
+                str(snapshots),
+                "--equilibrium",
+                str(tmp_path / "equilibrium.bin"),
+            ]
+        )
+        assert code == 2
+        assert "at least 3" in capsys.readouterr().err
 
 
 def test_run_stationary_ratefit_pipeline(tmp_path, capsys):
@@ -431,8 +523,8 @@ def test_run_stationary_ratefit_pipeline(tmp_path, capsys):
         main(
             [
                 "ratefit",
-                "--ledger",
-                str(out / "ledger.csv"),
+                "--snapshots",
+                str(out),
                 "--equilibrium",
                 str(out / "equilibrium.bin"),
             ]
@@ -463,25 +555,23 @@ def test_run_checks_reports_broken_tolerance():
     assert all(ok for name, ok in by_name.items() if name != "gradient-divergence adjointness")
 
 
-# thread cap
+# thread counts
 
 
-def test_thread_cap_warns_on_garbage(monkeypatch):
-    monkeypatch.setenv("CHNS_THREADS", "many")
-    with pytest.warns(UserWarning, match="non-integer"):
-        _apply_thread_cap()
-    monkeypatch.setenv("CHNS_THREADS", "-2")
-    with pytest.warns(UserWarning, match="negative"):
-        _apply_thread_cap()
-
-
-def test_thread_cap_silent_when_unset_or_auto(monkeypatch):
-    for value in (None, "", "0"):
-        if value is None:
-            monkeypatch.delenv("CHNS_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("CHNS_THREADS", value)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            _apply_thread_cap()
-        assert caught == []
+def test_run_is_byte_identical_across_blas_thread_counts(tmp_path):
+    cfg = write_config(tmp_path, QUICK + "\n[params]\nchi = 0.2\nalpha = 0.5\nbeta = 1.0\n")
+    src = str(Path(chns.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"threads{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "chns", "run", "--config", cfg, "--out", str(out)],
+            env=env,
+            check=True,
+            capture_output=True,
+            timeout=300,
+        )
+        outputs.append([(out / name).read_bytes() for name in ("ledger.csv", "final.bin")])
+    assert outputs[0] == outputs[1]

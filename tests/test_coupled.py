@@ -53,7 +53,7 @@ def test_cfl_dt_arithmetic():
     assert cfl_dt(MacVelocity.zeros(spec), 0.3) == 0.3
     u = np.zeros((11, 10))
     u[5, 3] = 2.0
-    vel = MacVelocity(spec, u, np.zeros((10, 11)), trusted=True)
+    vel = MacVelocity(spec, u, np.zeros((10, 11)))
     assert cfl_dt(vel, 1.0, 0.5) == pytest.approx(0.025)
     assert cfl_dt(vel, 0.01, 0.5) == 0.01
     assert cfl_dt(vel, 1.0, 0.25) < cfl_dt(vel, 1.0, 0.5)

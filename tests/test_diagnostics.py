@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from chns.chd import ModelParams, chd_step, chemical_potential, nonlocal_potential
-from chns.coupled import RunConfig, ScenarioConfig, coupled_step, run
+from chns.coupled import RunConfig, ScenarioConfig, run
 from chns.diagnostics import (
     LEDGER_FIELDS,
     LedgerRow,
@@ -19,15 +19,7 @@ from chns.diagnostics import (
     sigma_l4,
     total_energy,
 )
-from chns.grid import (
-    GridSpec,
-    MacVelocity,
-    ScalarField,
-    grad_norm_sq,
-    integrate,
-    l2_inner,
-    mean,
-)
+from chns.grid import GridSpec, MacVelocity, ScalarField, grad_norm_sq, l2_inner
 from chns.hydro import viscosity_field, viscous_stress_div
 from chns.potential import PotentialParams, psi
 from chns.state import SimState
@@ -71,7 +63,7 @@ def test_kinetic_energy_single_face():
     spec = GridSpec(4, 4)
     u = np.zeros((5, 4))
     u[2, 1] = 2.0
-    st = state_of(spec, vel=MacVelocity(spec, u, np.zeros((4, 5)), trusted=True))
+    st = state_of(spec, vel=MacVelocity(spec, u, np.zeros((4, 5))))
     assert kinetic_energy(st) == 0.125
 
 
@@ -136,7 +128,7 @@ def test_total_energy_is_sum(rng):
     v[:, 0] = v[:, -1] = 0.0
     st = state_of(
         spec,
-        vel=MacVelocity(spec, u, v, trusted=True),
+        vel=MacVelocity(spec, u, v),
         phi=ScalarField(spec, 0.5 * rng.uniform(-1.0, 1.0, (8, 8))),
         sigma=ScalarField(spec, rng.standard_normal((8, 8))),
     )
@@ -160,7 +152,7 @@ def test_dissipation_dense_oracle(rng):
     v[:, 0] = v[:, -1] = 0.0
     st = state_of(
         spec,
-        vel=MacVelocity(spec, u, v, trusted=True),
+        vel=MacVelocity(spec, u, v),
         phi=ScalarField(spec, rng.uniform(-0.8, 0.8, (6, 6))),
         mu=ScalarField(spec, rng.standard_normal((6, 6))),
         sigma=ScalarField(spec, rng.standard_normal((6, 6))),

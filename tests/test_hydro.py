@@ -37,7 +37,7 @@ def random_velocity(spec, rng, scale=1.0):
     v = scale * rng.standard_normal((spec.nx, spec.ny + 1))
     u[0, :] = u[-1, :] = 0.0
     v[:, 0] = v[:, -1] = 0.0
-    return MacVelocity(spec, u, v, trusted=True)
+    return MacVelocity(spec, u, v)
 
 
 def test_viscosity_pure_phases():
@@ -185,7 +185,7 @@ def test_advection_does_no_work(rng):
     spec = GridSpec(16, 16)
     vel, _, _ = project(random_velocity(spec, rng), 0.1)
     au, av = _advect_momentum(spec, vel.u, vel.v)
-    work = face_inner(MacVelocity(spec, au, av, trusted=True), vel)
+    work = face_inner(MacVelocity(spec, au, av), vel)
     assert abs(work) <= 1.0e-12 * face_inner(vel, vel)
 
 

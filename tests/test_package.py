@@ -1,5 +1,6 @@
-"""Package-level contracts: no dead imports in ``src/chns``, and the names
-the benchmark harness in ``perfbench/`` looks up on the package."""
+"""Package-level contracts: no dead imports in ``src/chns`` or ``tests``,
+and the names the benchmark harness in ``perfbench/`` looks up on the
+package."""
 
 import ast
 import importlib
@@ -12,7 +13,8 @@ from chns.cli import parse_config
 from chns.grid import GridSpec, ScalarField
 
 PACKAGE_DIR = Path(chns.__file__).resolve().parent
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+TESTS_DIR = Path(__file__).resolve().parent
+TRACING = TESTS_DIR.parent / "perfbench" / "tracing.py"
 
 
 def unused_imports(path):
@@ -50,8 +52,9 @@ def unused_imports(path):
 
 def test_no_unused_imports():
     found = [
-        f"{path.name}:{line}: {name}"
-        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        f"{path.parent.name}/{path.name}:{line}: {name}"
+        for directory in (PACKAGE_DIR, TESTS_DIR)
+        for path in sorted(directory.glob("*.py"))
         for line, name in unused_imports(path)
     ]
     assert not found, "imported but never used: " + ", ".join(found)
