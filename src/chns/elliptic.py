@@ -16,6 +16,9 @@ Sweet, J. Comput. Phys. 75, 1988), so the solves here are direct:
 All three share the 1-D eigenvalues ``(2 sin(pi k / (2 n)) / h)^2``; only
 the wavenumber range differs.  The transforms are orthonormal, so the
 inverse transform is the transpose and the solves are exact to rounding.
+The same transforms invert any function of the Neumann Laplacian
+(``neumann_symbol_solve``); the phase-field Newton iteration uses that to
+precondition its variable-coefficient Jacobian.
 
 The Neumann operator annihilates constants, so the inverse works on the
 zero-mean subspace: right-hand sides must be compatible and the solution
@@ -35,7 +38,7 @@ from typing import Callable
 import numpy as np
 import scipy.fft as sfft
 
-from .grid import GridSpec, ScalarField, l2_inner
+from .grid import GridSpec, ScalarField, inner_raw, l2_inner
 
 __all__ = [
     "SolverConfig",
@@ -46,6 +49,7 @@ __all__ = [
     "inverse_neumann_laplacian",
     "neumann_helmholtz",
     "neumann_solve",
+    "neumann_symbol_solve",
     "solve_spd",
     "v0_norm_sq",
 ]
@@ -112,30 +116,46 @@ def _eigenvalues(spec: GridSpec) -> dict:
 
 
 def _solve_diagonal(
-    spec: GridSpec, rhs: np.ndarray, bases: tuple[str, str], shift: float, scale: float
+    spec: GridSpec,
+    rhs: np.ndarray,
+    bases: tuple[str, str],
+    symbol: Callable[[np.ndarray], np.ndarray],
 ) -> np.ndarray:
-    """Solve ``(shift - scale * lap) x = rhs`` on one unknown set.
+    """Solve ``symbol(-lap) x = rhs`` on one unknown set.
 
     ``lap`` is the five-point Laplacian with the wall treatment ``bases``
-    along x and y.  A zero ``shift`` means the singular Neumann problem:
-    the constant mode is dropped, so the result has zero mean.
+    along x and y.  ``symbol`` maps the eigenvalues of ``-lap`` (a fresh
+    array it may overwrite) to those of the operator.  A symbol that
+    vanishes on the first mode means the singular Neumann problem: the
+    constant mode is dropped, so the result has zero mean.
     """
     coef = rhs
     for axis, basis in enumerate(bases):
         forward, _, kind, _ = _BASES[basis]
         coef = forward(coef, type=kind, axis=axis, norm="ortho")
     tables = _eigenvalues(spec)
-    symbol = shift + scale * (
-        tables[0, bases[0]][:, None] + tables[1, bases[1]][None, :]
-    )
-    if shift == 0.0:
+    diag = symbol(tables[0, bases[0]][:, None] + tables[1, bases[1]][None, :])
+    if diag[0, 0] == 0.0:
         coef[0, 0] = 0.0
-        symbol[0, 0] = 1.0
-    coef /= symbol
+        diag[0, 0] = 1.0
+    coef /= diag
     for axis, basis in enumerate(bases):
         _, inverse, kind, _ = _BASES[basis]
         coef = inverse(coef, type=kind, axis=axis, norm="ortho")
     return coef
+
+
+def neumann_symbol_solve(
+    spec: GridSpec, rhs: np.ndarray, symbol: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """Solve ``symbol(-lap) u = rhs`` on the cells with zero-flux walls.
+
+    ``symbol`` maps the eigenvalues of the Neumann operator ``-lap`` to
+    those of the operator to invert, elementwise; a symbol that vanishes
+    on the constant mode gives the zero-mean solution of the singular
+    problem.
+    """
+    return _solve_diagonal(spec, rhs, ("mirror", "mirror"), symbol)
 
 
 def inverse_neumann_laplacian(f: ScalarField) -> ScalarField:
@@ -162,7 +182,7 @@ def fluctuation_potential(f: ScalarField) -> ScalarField:
     The transform drops the constant mode, so no compatibility check is
     needed.
     """
-    u = _solve_diagonal(f.grid, f.values, ("mirror", "mirror"), 0.0, 1.0)
+    u = neumann_symbol_solve(f.grid, f.values, lambda lam: lam)
     u -= u.mean()
     return ScalarField(f.grid, u)
 
@@ -177,7 +197,7 @@ def neumann_helmholtz(f: ScalarField, coeff: float) -> ScalarField:
     ``coeff`` must be nonnegative.  The constant mode passes through
     unscaled, so ``mean(u) == mean(f)`` up to rounding.
     """
-    u = _solve_diagonal(f.grid, f.values, ("mirror", "mirror"), 1.0, coeff)
+    u = neumann_symbol_solve(f.grid, f.values, lambda lam: 1.0 + coeff * lam)
     return ScalarField(f.grid, u)
 
 
@@ -194,8 +214,12 @@ def face_helmholtz(
     """
     u = np.zeros((spec.nx + 1, spec.ny))
     v = np.zeros((spec.nx, spec.ny + 1))
-    u[1:-1, :] = _solve_diagonal(spec, rhs_u[1:-1, :], ("pinned", "odd"), 1.0, coeff)
-    v[:, 1:-1] = _solve_diagonal(spec, rhs_v[:, 1:-1], ("odd", "pinned"), 1.0, coeff)
+
+    def symbol(lam):
+        return 1.0 + coeff * lam
+
+    u[1:-1, :] = _solve_diagonal(spec, rhs_u[1:-1, :], ("pinned", "odd"), symbol)
+    v[:, 1:-1] = _solve_diagonal(spec, rhs_v[:, 1:-1], ("odd", "pinned"), symbol)
     return u, v
 
 
@@ -234,7 +258,7 @@ def cg_raw(
     b = np.asarray(b, dtype=np.float64)
     if singular:
         b = _project_mean(b)
-    b_norm = float(np.sqrt(np.vdot(b, b)))
+    b_norm = float(np.sqrt(inner_raw(b, b)))
     if b_norm == 0.0:
         return np.zeros_like(b), 0
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=np.float64)
@@ -244,13 +268,13 @@ def cg_raw(
     if singular:
         r = _project_mean(r)
     tol = rel_tol * b_norm
-    rs = float(np.vdot(r, r))
+    rs = inner_raw(r, r)
     if np.sqrt(rs) <= tol:
         return x, 0
     p = r.copy()
     for k in range(1, max_iter + 1):
         ap = apply_fn(p)
-        denom = float(np.vdot(p, ap))
+        denom = inner_raw(p, ap)
         if denom <= 0.0:
             raise SolverError(
                 f"operator not positive definite on the search space (p.Ap = {denom:.3e})"
@@ -260,7 +284,7 @@ def cg_raw(
         r -= alpha * ap
         if singular:
             r = _project_mean(r)
-        rs_new = float(np.vdot(r, r))
+        rs_new = inner_raw(r, r)
         if np.sqrt(rs_new) <= tol:
             if singular:
                 x = _project_mean(x)

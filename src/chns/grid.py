@@ -217,6 +217,18 @@ def div_raw(spec: GridSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u[1:, :] - u[:-1, :]) / spec.hx + (v[:, 1:] - v[:, :-1]) / spec.hy
 
 
+def inner_raw(a: np.ndarray, b: np.ndarray) -> float:
+    """Sum of the elementwise product of two equally shaped arrays.
+
+    Every inner product and norm of the package goes through here.
+    ``np.sum`` adds pairwise in a single thread, so the result does not
+    depend on the BLAS thread count; ``np.vdot`` and ``np.dot`` call BLAS
+    ``ddot``, which splits long vectors across threads and so changes the
+    rounding with the thread count.
+    """
+    return float(np.sum(a * b))
+
+
 def laplacian_raw(spec: GridSpec, f: np.ndarray) -> np.ndarray:
     gu, gv = grad_raw(spec, f)
     return div_raw(spec, gu, gv)
@@ -270,16 +282,16 @@ def mean(f: ScalarField) -> float:
 
 def l2_inner(f: ScalarField, g: ScalarField) -> float:
     _check_same_grid(f, g)
-    return f.grid.cell_area * float(np.vdot(f.values, g.values))
+    return f.grid.cell_area * inner_raw(f.values, g.values)
 
 
 def face_inner(w1: MacVelocity, w2: MacVelocity) -> float:
     """Face-weighted inner product, each face carrying measure ``hx * hy``."""
     _check_same_grid(w1, w2)
-    return w1.grid.cell_area * (float(np.vdot(w1.u, w2.u)) + float(np.vdot(w1.v, w2.v)))
+    return w1.grid.cell_area * (inner_raw(w1.u, w2.u) + inner_raw(w1.v, w2.v))
 
 
 def grad_norm_sq(f: ScalarField) -> float:
     """Discrete Dirichlet energy ``|grad f|^2`` integrated over the domain."""
     gu, gv = grad_raw(f.grid, f.values)
-    return f.grid.cell_area * (float(np.vdot(gu, gu)) + float(np.vdot(gv, gv)))
+    return f.grid.cell_area * (inner_raw(gu, gu) + inner_raw(gv, gv))

@@ -29,7 +29,7 @@ import numpy as np
 from . import potential as pot
 from .chd import ModelParams, _newton_solve, nonlocal_potential
 from .elliptic import SolverConfig
-from .grid import ScalarField, grad_norm_sq, integrate, laplacian_raw, mean
+from .grid import ScalarField, grad_norm_sq, inner_raw, integrate, laplacian_raw, mean
 
 __all__ = [
     "Equilibrium",
@@ -70,12 +70,12 @@ def _reduced_energy(phi: np.ndarray, spec, p: ModelParams) -> tuple[float, Scala
     constant.  Returns the energy and the nonlocal field for reuse."""
     f = ScalarField(spec, phi)
     out = 0.5 * grad_norm_sq(f) + integrate(ScalarField(spec, pot.psi(phi, p.potential)))
-    out -= 0.5 * p.chi**2 * spec.cell_area * float(np.vdot(phi, phi))
+    out -= 0.5 * p.chi**2 * spec.cell_area * inner_raw(phi, phi)
     nphi = None
     if p.beta != 0.0:
         nphi, _ = nonlocal_potential(f)
         fluct = phi - phi.mean()
-        out += 0.5 * p.beta * spec.cell_area * float(np.vdot(fluct, nphi.values))
+        out += 0.5 * p.beta * spec.cell_area * inner_raw(fluct, nphi.values)
     return out, nphi
 
 
@@ -138,9 +138,9 @@ def solve_stationary(
         g_expl = -theta_eff * phi - p.chi * sigma_const
         if p.beta != 0.0:
             g_expl = g_expl + p.beta * nphi.values
-        phi_try, _, _, _ = _newton_solve(
+        phi_try = _newton_solve(
             spec, p.potential, phi, dtau, 0.0, g_expl, np.zeros_like(phi), m_target
-        )
+        )[0]
         energy_try, nphi_try = _reduced_energy(phi_try, spec, p)
         if energy_try <= energy + 1.0e-13 * max(1.0, abs(energy)):
             phi, energy, nphi = phi_try, energy_try, nphi_try
@@ -175,7 +175,7 @@ def deficit_norm(phi: ScalarField, phi_inf: ScalarField) -> float:
     """Distance to equilibrium: discrete H1 norm of the difference."""
     diff = ScalarField(phi.grid, phi.values - phi_inf.values)
     return float(
-        np.sqrt(grad_norm_sq(diff) + phi.grid.cell_area * np.vdot(diff.values, diff.values))
+        np.sqrt(grad_norm_sq(diff) + phi.grid.cell_area * inner_raw(diff.values, diff.values))
     )
 
 

@@ -6,8 +6,10 @@ import pytest
 from conftest import dense_neumann_laplacian
 
 from chns.chd import (
+    GMRES_FORCING,
     ModelParams,
     NewtonError,
+    _jacobian_solve,
     ch_step,
     chd_step,
     chemical_potential,
@@ -153,6 +155,42 @@ def test_ch_step_matches_dense_newton_oracle(rng):
     )
     assert np.max(np.abs(phi_new.values - want_phi)) <= 1.0e-9
     assert np.max(np.abs(mu_new.values - want_mu)) <= 1.0e-9
+
+
+@pytest.mark.parametrize("dt", [1.0e-3, 1.0])
+def test_jacobian_solve_matches_dense_oracle(dt, rng):
+    # tanh droplet profile scaled so psi0'' = theta / (1 - phi^2) spans
+    # 1 to 500: the variable coefficient the constant-coefficient
+    # preconditioner misses most
+    spec = GridSpec(10, 7, 1.3, 0.8)
+    x, y = spec.cell_centers()
+    profile = np.tanh((np.hypot(x - 0.6, y - 0.4) - 0.25) / 0.05)
+    phi = np.sqrt(1.0 - 1.0 / 500.0) * profile / np.max(np.abs(profile))
+    d = psi0_second(phi, LOG)
+    assert d.min() < 1.1 and d.max() == pytest.approx(500.0)
+    b = rng.standard_normal((10, 7))
+
+    sol, iters, rel = _jacobian_solve(spec, d, dt, b)
+
+    lap = dense_neumann_laplacian(spec)
+    jac = np.eye(70) / dt + lap @ lap - lap @ np.diag(d.reshape(-1))
+    b_norm = np.linalg.norm(b)
+    true_res = np.linalg.norm(jac @ sol.reshape(-1) - b.reshape(-1))
+    assert iters > 0 and rel <= GMRES_FORCING
+    assert true_res <= GMRES_FORCING * b_norm
+    # the residual bound carries over to the error through |J^-1|_2
+    want = np.linalg.solve(jac, b.reshape(-1))
+    inv_norm = np.linalg.norm(np.linalg.inv(jac), 2)
+    assert np.linalg.norm(sol.reshape(-1) - want) <= inv_norm * GMRES_FORCING * b_norm
+
+
+def test_step_reports_krylov_iterations(rng):
+    spec = GridSpec(16, 16)
+    p = ModelParams(chi=0.2, alpha=0.5, beta=1.0, potential=LOG)
+    phi = ScalarField(spec, 0.3 * rng.uniform(-1.0, 1.0, (16, 16)))
+    sigma = ScalarField(spec, 0.1 * rng.uniform(-1.0, 1.0, (16, 16)))
+    _, _, rep = ch_step(phi, sigma, MacVelocity.zeros(spec), p, 1.0e-3)
+    assert rep.linear_iters >= rep.newton_iters > 0
 
 
 def test_step_satisfies_discrete_equations(rng):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import chns
+from chns import chd
 from chns.chd import ModelParams
 from chns.cli import (
     _SCHEMA,
@@ -449,6 +450,19 @@ def test_solver_failure_exits_three(tmp_path, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
+def test_krylov_failure_exits_three(tmp_path, capsys, monkeypatch):
+    # the droplet's first Newton system (psi0'' up to 500) needs more than
+    # one GMRES iteration
+    monkeypatch.setattr(chd, "GMRES_MAX_ITER", 1)
+    cfg = write_config(tmp_path, QUICK + "\n[scenario]\nname = droplet\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "solver failure: GMRES did not converge in Newton iteration 1" in err
+    assert "after 1 iterations" in err
+
+
 # stationary and ratefit commands
 
 
@@ -558,8 +572,17 @@ def test_run_checks_reports_broken_tolerance():
 # thread counts
 
 
-def test_run_is_byte_identical_across_blas_thread_counts(tmp_path):
-    cfg = write_config(tmp_path, QUICK + "\n[params]\nchi = 0.2\nalpha = 0.5\nbeta = 1.0\n")
+# BLAS splits dot products across threads only for long vectors, so the
+# 16^2 case alone would not see a reduction that goes through BLAS
+@pytest.mark.parametrize(
+    "n, dt, t_end", [(16, "0.02", "0.1"), (128, "0.001", "0.002")], ids=["16", "128"]
+)
+def test_run_is_byte_identical_across_blas_thread_counts(tmp_path, n, dt, t_end):
+    cfg = write_config(
+        tmp_path,
+        f"[grid]\nnx = {n}\nny = {n}\n\n[time]\ndt = {dt}\nt_end = {t_end}\n"
+        "\n[params]\nchi = 0.2\nalpha = 0.5\nbeta = 1.0\n",
+    )
     src = str(Path(chns.__file__).resolve().parents[1])
     outputs = []
     for threads in ("1", "2"):
