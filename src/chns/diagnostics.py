@@ -115,7 +115,7 @@ def dissipation(state: SimState, p: ModelParams) -> tuple[float, float, float]:
 
 
 def sigma_l4(sigma: ScalarField) -> float:
-    return float(integrate(ScalarField(sigma.grid, sigma.values**4)) ** 0.25)
+    return float(integrate(ScalarField(sigma.grid, np.square(np.square(sigma.values)))) ** 0.25)
 
 
 def bel_residual(

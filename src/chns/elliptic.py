@@ -16,9 +16,14 @@ Sweet, J. Comput. Phys. 75, 1988), so the solves here are direct:
 All three share the 1-D eigenvalues ``(2 sin(pi k / (2 n)) / h)^2``; only
 the wavenumber range differs.  The transforms are orthonormal, so the
 inverse transform is the transpose and the solves are exact to rounding.
-The same transforms invert any function of the Neumann Laplacian
-(``neumann_symbol_solve``); the phase-field Newton iteration uses that to
-precondition its variable-coefficient Jacobian.
+The 2-D eigenvalue table of each wall treatment is cached per grid and
+read-only.  The cell-centred Neumann solves transform both axes in one
+2-D call; the face solves mix DST-I and DST-II, so they transform one
+axis at a time.  The same transforms invert any function of the Neumann
+Laplacian (``neumann_symbol_solve``, given the function's values on
+``neumann_eigenvalues``); the phase-field Newton iteration builds that
+symbol once per Krylov solve to precondition its variable-coefficient
+Jacobian.
 
 The Neumann operator annihilates constants, so the inverse works on the
 zero-mean subspace: right-hand sides must be compatible and the solution
@@ -47,6 +52,7 @@ __all__ = [
     "face_helmholtz",
     "fluctuation_potential",
     "inverse_neumann_laplacian",
+    "neumann_eigenvalues",
     "neumann_helmholtz",
     "neumann_solve",
     "neumann_symbol_solve",
@@ -94,68 +100,76 @@ class SolverConfig:
 # first wavenumber); the wavenumbers run over as many values as the axis
 # has unknowns
 _BASES = {
-    "mirror": (sfft.dct, sfft.idct, 2, 0),
-    "odd": (sfft.dst, sfft.idst, 2, 1),
-    "pinned": (sfft.dst, sfft.idst, 1, 1),
+    "mirror": (sfft.dctn, sfft.idctn, 2, 0),
+    "odd": (sfft.dstn, sfft.idstn, 2, 1),
+    "pinned": (sfft.dstn, sfft.idstn, 1, 1),
 }
 
-
-@functools.lru_cache(maxsize=8)
-def _eigenvalues(spec: GridSpec) -> dict:
-    """1-D eigenvalues of ``-d^2`` per axis and wall treatment, cached per
-    grid.  Keys are ``(axis, basis)``; the tables are read-only."""
-    tables = {}
-    for axis, (n, h) in enumerate(((spec.nx, spec.hx), (spec.ny, spec.hy))):
-        for basis, (_, _, kind, k0) in _BASES.items():
-            count = n - 1 if kind == 1 else n
-            k = np.arange(k0, k0 + count)
-            lam = (2.0 * np.sin(0.5 * np.pi * k / n) / h) ** 2
-            lam.flags.writeable = False
-            tables[axis, basis] = lam
-    return tables
+_NEUMANN = ("mirror", "mirror")
 
 
-def _solve_diagonal(
-    spec: GridSpec,
-    rhs: np.ndarray,
-    bases: tuple[str, str],
-    symbol: Callable[[np.ndarray], np.ndarray],
-) -> np.ndarray:
-    """Solve ``symbol(-lap) x = rhs`` on one unknown set.
+@functools.lru_cache(maxsize=16)
+def _eigenvalues(spec: GridSpec, bases: tuple[str, str]) -> np.ndarray:
+    """Eigenvalues of ``-lap`` with the wall treatment ``bases`` along x
+    and y, one per transform mode, cached per grid; the table is
+    read-only."""
+    lam = []
+    for basis, n, h in zip(bases, (spec.nx, spec.ny), (spec.hx, spec.hy)):
+        _, _, kind, k0 = _BASES[basis]
+        k = np.arange(k0, k0 + (n - 1 if kind == 1 else n))
+        lam.append((2.0 * np.sin(0.5 * np.pi * k / n) / h) ** 2)
+    table = lam[0][:, None] + lam[1][None, :]
+    table.flags.writeable = False
+    return table
 
-    ``lap`` is the five-point Laplacian with the wall treatment ``bases``
-    along x and y.  ``symbol`` maps the eigenvalues of ``-lap`` (a fresh
-    array it may overwrite) to those of the operator.  A symbol that
-    vanishes on the first mode means the singular Neumann problem: the
-    constant mode is dropped, so the result has zero mean.
-    """
-    coef = rhs
-    for axis, basis in enumerate(bases):
-        forward, _, kind, _ = _BASES[basis]
-        coef = forward(coef, type=kind, axis=axis, norm="ortho")
-    tables = _eigenvalues(spec)
-    diag = symbol(tables[0, bases[0]][:, None] + tables[1, bases[1]][None, :])
-    if diag[0, 0] == 0.0:
-        coef[0, 0] = 0.0
-        diag[0, 0] = 1.0
-    coef /= diag
-    for axis, basis in enumerate(bases):
-        _, inverse, kind, _ = _BASES[basis]
-        coef = inverse(coef, type=kind, axis=axis, norm="ortho")
+
+def neumann_eigenvalues(spec: GridSpec) -> np.ndarray:
+    """Eigenvalues of the Neumann operator ``-lap`` on each cosine mode of
+    the cells, as a read-only ``(nx, ny)`` table cached per grid."""
+    return _eigenvalues(spec, _NEUMANN)
+
+
+def _transform(coef: np.ndarray, bases: tuple[str, str], inverse: bool) -> np.ndarray:
+    """Forward or inverse orthonormal transform of ``coef`` along both
+    axes: one 2-D call when both axes share a basis, one call per axis
+    otherwise.  ``coef`` is overwritten only by an inverse transform."""
+    groups = [((0, 1), bases[0])] if bases[0] == bases[1] else list(enumerate(bases))
+    for axes, basis in groups:
+        forward, backward, kind, _ = _BASES[basis]
+        fn = backward if inverse else forward
+        coef = fn(coef, type=kind, axes=axes, norm="ortho", overwrite_x=inverse)
     return coef
 
 
-def neumann_symbol_solve(
-    spec: GridSpec, rhs: np.ndarray, symbol: Callable[[np.ndarray], np.ndarray]
-) -> np.ndarray:
-    """Solve ``symbol(-lap) u = rhs`` on the cells with zero-flux walls.
+def _solve_diagonal(rhs: np.ndarray, bases: tuple[str, str], symbol: np.ndarray) -> np.ndarray:
+    """Solve ``A x = rhs`` for an operator ``A`` that the transforms of
+    ``bases`` along x and y diagonalize, with eigenvalue ``symbol`` on
+    each mode.
 
-    ``symbol`` maps the eigenvalues of the Neumann operator ``-lap`` to
-    those of the operator to invert, elementwise; a symbol that vanishes
+    ``symbol`` is only read; it may be a cached table.  A symbol that
+    vanishes on the first mode means the singular Neumann problem: the
+    constant mode is dropped, so the result has zero mean.
+    """
+    coef = _transform(rhs, bases, inverse=False)
+    if symbol[0, 0] == 0.0:
+        coef[0, 0] = 0.0
+        coef[0, 1:] /= symbol[0, 1:]
+        coef[1:] /= symbol[1:]
+    else:
+        coef /= symbol
+    return _transform(coef, bases, inverse=True)
+
+
+def neumann_symbol_solve(rhs: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """Solve ``A u = rhs`` on the cells with zero-flux walls, for a
+    function ``A`` of the Neumann operator ``-lap``.
+
+    ``symbol`` holds the eigenvalue of ``A`` on each cosine mode, built
+    elementwise from :func:`neumann_eigenvalues`.  A symbol that vanishes
     on the constant mode gives the zero-mean solution of the singular
     problem.
     """
-    return _solve_diagonal(spec, rhs, ("mirror", "mirror"), symbol)
+    return _solve_diagonal(rhs, _NEUMANN, symbol)
 
 
 def inverse_neumann_laplacian(f: ScalarField) -> ScalarField:
@@ -182,7 +196,7 @@ def fluctuation_potential(f: ScalarField) -> ScalarField:
     The transform drops the constant mode, so no compatibility check is
     needed.
     """
-    u = neumann_symbol_solve(f.grid, f.values, lambda lam: lam)
+    u = neumann_symbol_solve(f.values, neumann_eigenvalues(f.grid))
     u -= u.mean()
     return ScalarField(f.grid, u)
 
@@ -197,7 +211,7 @@ def neumann_helmholtz(f: ScalarField, coeff: float) -> ScalarField:
     ``coeff`` must be nonnegative.  The constant mode passes through
     unscaled, so ``mean(u) == mean(f)`` up to rounding.
     """
-    u = neumann_symbol_solve(f.grid, f.values, lambda lam: 1.0 + coeff * lam)
+    u = neumann_symbol_solve(f.values, 1.0 + coeff * neumann_eigenvalues(f.grid))
     return ScalarField(f.grid, u)
 
 
@@ -215,11 +229,11 @@ def face_helmholtz(
     u = np.zeros((spec.nx + 1, spec.ny))
     v = np.zeros((spec.nx, spec.ny + 1))
 
-    def symbol(lam):
-        return 1.0 + coeff * lam
+    def solve(rhs, bases):
+        return _solve_diagonal(rhs, bases, 1.0 + coeff * _eigenvalues(spec, bases))
 
-    u[1:-1, :] = _solve_diagonal(spec, rhs_u[1:-1, :], ("pinned", "odd"), symbol)
-    v[:, 1:-1] = _solve_diagonal(spec, rhs_v[:, 1:-1], ("odd", "pinned"), symbol)
+    u[1:-1, :] = solve(rhs_u[1:-1, :], ("pinned", "odd"))
+    v[:, 1:-1] = solve(rhs_v[:, 1:-1], ("odd", "pinned"))
     return u, v
 
 

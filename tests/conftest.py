@@ -31,6 +31,24 @@ def dense_neumann_laplacian(spec):
     return np.kron(ax, np.eye(spec.ny)) + np.kron(np.eye(spec.nx), ay)
 
 
+def dense_face_laplacians(spec):
+    """Dense matrices of the no-slip component Laplacians on the interior
+    u- and v-faces: a pinned wall face next to a wall-normal unknown, an
+    antisymmetric ghost across a tangential wall."""
+
+    def one_dim(n, h, end):
+        a = (np.diag(np.full(n, -2.0)) + np.eye(n, k=1) + np.eye(n, k=-1)) / h**2
+        a[0, 0] = a[-1, -1] = end / h**2
+        return a
+
+    def kron_sum(ax, ay):
+        return np.kron(ax, np.eye(len(ay))) + np.kron(np.eye(len(ax)), ay)
+
+    lap_u = kron_sum(one_dim(spec.nx - 1, spec.hx, -2.0), one_dim(spec.ny, spec.hy, -3.0))
+    lap_v = kron_sum(one_dim(spec.nx, spec.hx, -3.0), one_dim(spec.ny - 1, spec.hy, -2.0))
+    return lap_u, lap_v
+
+
 def dense_advection_matrix(spec, w):
     """Row-by-row flux balance for div(w f), assembled with loops."""
     n = spec.nx * spec.ny

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from conftest import dense_neumann_laplacian
 
+from chns import chd
 from chns.chd import (
     GMRES_FORCING,
     ModelParams,
@@ -17,6 +18,7 @@ from chns.chd import (
     sigma_step,
 )
 from chns.diagnostics import free_energy
+from chns.elliptic import neumann_symbol_solve
 from chns.grid import (
     GridSpec,
     MacVelocity,
@@ -182,6 +184,25 @@ def test_jacobian_solve_matches_dense_oracle(dt, rng):
     want = np.linalg.solve(jac, b.reshape(-1))
     inv_norm = np.linalg.norm(np.linalg.inv(jac), 2)
     assert np.linalg.norm(sol.reshape(-1) - want) <= inv_norm * GMRES_FORCING * b_norm
+
+
+def test_jacobian_solve_preconditions_once_per_iteration(monkeypatch, rng):
+    # GMRES keeps each preconditioned basis vector, so assembling the
+    # solution costs no preconditioner solve beyond one per iteration
+    spec = GridSpec(12, 10)
+    x, y = spec.cell_centers()
+    phi = 0.99 * np.tanh((np.hypot(x - 0.5, y - 0.5) - 0.25) / 0.05)
+    d = psi0_second(phi, LOG)
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return neumann_symbol_solve(*args)
+
+    monkeypatch.setattr(chd, "neumann_symbol_solve", counting)
+    _, iters, rel = _jacobian_solve(spec, d, 1.0e-3, rng.standard_normal((12, 10)))
+    assert iters > 1 and rel <= GMRES_FORCING
+    assert len(calls) == iters
 
 
 def test_step_reports_krylov_iterations(rng):

@@ -1,18 +1,23 @@
-"""Transform solves against dense oracles, eigenmodes, round trips and the
-dual norm; the conjugate-gradient routine's own contracts and failure
-paths."""
+"""Transform solves against dense oracles, on fixed and on randomly drawn
+grids, eigenmodes, round trips and the dual norm; the conjugate-gradient
+routine's own contracts and failure paths."""
 
 import numpy as np
 import pytest
-from conftest import dense_neumann_laplacian
+from conftest import dense_face_laplacians, dense_neumann_laplacian
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chns.chd import _preconditioner_symbol
 from chns.elliptic import (
     SolverConfig,
     SolverError,
     cg_raw,
     face_helmholtz,
+    fluctuation_potential,
     inverse_neumann_laplacian,
     neumann_helmholtz,
+    neumann_symbol_solve,
     solve_spd,
     v0_norm_sq,
 )
@@ -113,6 +118,75 @@ def test_face_helmholtz_matches_dense_oracle(spec, rng):
         pinned = np.ones(rhs.shape, dtype=bool)
         pinned[inner] = False
         assert np.all(got[pinned] == 0.0)
+
+
+# random grids, odd and even cell counts; a fixed example sequence keeps
+# the suite deterministic
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=50)
+GRIDS = st.builds(
+    GridSpec, st.integers(4, 12), st.integers(4, 12), st.floats(0.5, 2.0), st.floats(0.5, 2.0)
+)
+SEEDS = st.integers(0, 2**32 - 1)
+# coefficients in multiples of the cell area balance the identity against
+# the Laplacian, as above, so the dense LU oracle's own error (about
+# cond * eps) stays well below the 1e-12 bound
+SCALES = st.floats(0.01, 10.0)
+
+
+@PROPERTY
+@given(spec=GRIDS, seed=SEEDS)
+def test_fluctuation_potential_property(spec, seed):
+    f = np.random.default_rng(seed).standard_normal((spec.nx, spec.ny))
+    n = spec.nx * spec.ny
+    # -lap plus the projector onto the constants is invertible and maps
+    # the zero-mean solution to the zero-mean right-hand side
+    mat = -dense_neumann_laplacian(spec) + np.ones((n, n)) / n
+    want = np.linalg.solve(mat, (f - f.mean()).reshape(-1))
+    got = fluctuation_potential(ScalarField(spec, f)).values.reshape(-1)
+    assert rel_err(got, want) <= 1.0e-12
+
+
+@PROPERTY
+@given(spec=GRIDS, seed=SEEDS, scale=SCALES)
+def test_neumann_helmholtz_property(spec, seed, scale):
+    f = np.random.default_rng(seed).standard_normal((spec.nx, spec.ny))
+    coeff = scale * spec.hx * spec.hy
+    mat = np.eye(spec.nx * spec.ny) - coeff * dense_neumann_laplacian(spec)
+    want = np.linalg.solve(mat, f.reshape(-1))
+    got = neumann_helmholtz(ScalarField(spec, f), coeff).values.reshape(-1)
+    assert rel_err(got, want) <= 1.0e-12
+
+
+@PROPERTY
+@given(spec=GRIDS, seed=SEEDS, scale=SCALES)
+def test_face_helmholtz_property(spec, seed, scale):
+    rng = np.random.default_rng(seed)
+    u_rhs = rng.standard_normal((spec.nx + 1, spec.ny))
+    v_rhs = rng.standard_normal((spec.nx, spec.ny + 1))
+    coeff = scale * spec.hx * spec.hy
+    got_u, got_v = face_helmholtz(spec, u_rhs, v_rhs, coeff)
+    for lap, rhs, got in zip(
+        dense_face_laplacians(spec), (u_rhs[1:-1, :], v_rhs[:, 1:-1]), (got_u[1:-1, :], got_v[:, 1:-1])
+    ):
+        want = np.linalg.solve(np.eye(len(lap)) - coeff * lap, rhs.reshape(-1))
+        assert rel_err(got.reshape(-1), want) <= 1.0e-12
+
+
+@PROPERTY
+@given(spec=GRIDS, seed=SEEDS, dt_scale=SCALES, d_scale=SCALES)
+def test_jacobian_preconditioner_property(spec, seed, dt_scale, d_scale):
+    # the symbol inverts 1/dt + lap^2 - mean(d) lap; dt in units of the
+    # squared cell area balances 1/dt against lap^2
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((spec.nx, spec.ny))
+    area = spec.hx * spec.hy
+    dt = dt_scale * area**2
+    d = rng.uniform(0.0, 2.0 * d_scale / area, (spec.nx, spec.ny))
+    lap = dense_neumann_laplacian(spec)
+    mat = np.eye(len(lap)) / dt + lap @ lap - d.mean() * lap
+    want = np.linalg.solve(mat, b.reshape(-1))
+    got = neumann_symbol_solve(b, _preconditioner_symbol(spec, d, dt)).reshape(-1)
+    assert rel_err(got, want) <= 1.0e-12
 
 
 def test_zero_input():

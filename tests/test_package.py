@@ -1,10 +1,13 @@
 """Package-level contracts: no dead imports in ``src/chns`` or ``tests``,
-and the names the benchmark harness in ``perfbench/`` looks up on the
-package."""
+no ``scipy.sparse`` in a run, and the names the benchmark harness in
+``perfbench/`` looks up on the package."""
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import chns
@@ -58,6 +61,31 @@ def test_no_unused_imports():
         for line, name in unused_imports(path)
     ]
     assert not found, "imported but never used: " + ", ".join(found)
+
+
+def test_run_does_not_import_scipy_sparse(tmp_path):
+    # every solve is a transform or matrix-free; only the benchmark
+    # tracer's lookup of chd.splu loads scipy.sparse
+    code = (
+        "import sys\n"
+        "from chns.cli import main\n"
+        "args = ['run', '--set', 'grid.nx=16', '--set', 'grid.ny=16',\n"
+        "        '--set', 'time.t_end=0.005', '--out', sys.argv[1]]\n"
+        "assert main(args) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "out")],
+        env=env,
+        check=True,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (tmp_path / "out" / "ledger.csv").exists()
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_benchmark_import_contract():
