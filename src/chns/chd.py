@@ -162,8 +162,6 @@ class ChdStepReport:
     newton_iters: int = 0
     newton_residual: float = 0.0
     linear_iters: int = 0
-    phi_min: float = 0.0
-    phi_max: float = 0.0
     clipped_steps: int = 0
 
 
@@ -297,9 +295,6 @@ def _newton_solve(
     g_expl: np.ndarray,
     b_expl: np.ndarray,
     m_target: float,
-    *,
-    tol_factor: float = NEWTON_TOL_FACTOR,
-    max_iter: int = NEWTON_MAX_ITER,
 ) -> tuple[np.ndarray, int, float, int, int]:
     """Solve ``(phi - phi0)/dt + b_expl = lap(-lap phi + psi0'(phi)
     + (gamma/dt)(phi - phi0) + g_expl)`` and recenter to ``m_target``.
@@ -324,14 +319,14 @@ def _newton_solve(
         return float(np.sqrt(area * inner_raw(r, r)))
 
     rhs = phi0 / dt - b_expl + laplacian_raw(spec, g_expl)
-    tol = tol_factor * (1.0 + norm(rhs))
+    tol = NEWTON_TOL_FACTOR * (1.0 + norm(rhs))
 
     phi = phi0.copy()
     r = residual(phi)
     res = norm(r)
     clipped = 0
     linear = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, NEWTON_MAX_ITER + 1):
         if res <= tol:
             return _recenter(phi, m_target), it - 1, res, clipped, linear
         d = pot.psi0_second(phi, pparams) + gd
@@ -358,10 +353,10 @@ def _newton_solve(
             s *= 0.5
         phi, r, res = phi_try, r_try, res_try
     if res <= tol:
-        return _recenter(phi, m_target), max_iter, res, clipped, linear
+        return _recenter(phi, m_target), NEWTON_MAX_ITER, res, clipped, linear
     raise NewtonError(
         f"phase-field Newton iteration did not converge: residual {res:.3e} "
-        f"(target {tol:.3e}) after {max_iter} iterations"
+        f"(target {tol:.3e}) after {NEWTON_MAX_ITER} iterations"
     )
 
 
@@ -387,8 +382,6 @@ def ch_step(
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     spec = phi.grid
-    report = ChdStepReport()
-
     adv = advect_scalar(vel, phi).values
     g_expl = -p.theta0 * phi.values - p.chi * sigma.values
     if p.beta != 0.0:
@@ -405,12 +398,9 @@ def ch_step(
     phi_new, iters, res, clipped, linear = _newton_solve(
         spec, p.potential, phi.values, dt, p.gamma, g_expl, b_expl, m_target
     )
-    report.newton_iters = iters
-    report.linear_iters = linear
-    report.newton_residual = res
-    report.clipped_steps = clipped
-    report.phi_min = float(phi_new.min())
-    report.phi_max = float(phi_new.max())
+    report = ChdStepReport(
+        newton_iters=iters, newton_residual=res, linear_iters=linear, clipped_steps=clipped
+    )
 
     mu_new = (
         -laplacian_raw(spec, phi_new)

@@ -30,28 +30,28 @@ import re
 import sys
 import warnings
 from configparser import ConfigParser
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .chd import ModelParams, NewtonError, chemical_potential
 from .coupled import RunConfig, ScenarioConfig, run
-from .diagnostics import LEDGER_FIELDS, LedgerRow, mass_check, separation
-from .elliptic import SolverError
+from .diagnostics import LEDGER_FIELDS, LedgerRow, free_energy, mass_check, separation
+from .elliptic import SolverError, inverse_neumann_laplacian
 from .grid import (
     GridSpec,
     MacVelocity,
     ScalarField,
-    div_faces,
-    face_inner,
+    div_raw,
     grad_norm_sq,
-    grad_to_faces,
+    grad_raw,
+    inner_raw,
     l2_inner,
-    laplacian_neumann,
+    laplacian_raw,
 )
 from .hydro import CflError
-from .potential import PotentialParams
+from .potential import PotentialDomainError, PotentialParams
 from .state import SimState
 from .stationary import (
     RateFitError,
@@ -62,7 +62,6 @@ from .stationary import (
 )
 
 __all__ = [
-    "CheckTolerances",
     "ConfigError",
     "SnapshotError",
     "main",
@@ -75,6 +74,15 @@ __all__ = [
 ]
 
 SNAPSHOT_MAGIC = "CHNS1"
+
+# pass thresholds of the invariant battery in run_checks
+ADJOINTNESS_TOL = 1.0e-10
+SELF_ADJOINT_TOL = 1.0e-12
+ROUND_TRIP_TOL = 1.0e-8
+DUAL_NORM_TOL = 1.0e-10
+VARIATIONAL_TOL = 1.0e-6
+SIGMA_DRIFT_TOL = 1.0e-11
+PHI_LAW_TOL = 1.0e-9
 
 
 class ConfigError(ValueError):
@@ -281,6 +289,8 @@ def read_snapshot(path: str | os.PathLike) -> SimState:
         spec = GridSpec(nx=nx, ny=ny, lx=lx, ly=ly)
     except ValueError as exc:
         raise SnapshotError(f"{path}: bad snapshot header {header!r}: {exc}") from exc
+    if not np.isfinite(t):
+        raise SnapshotError(f"{path}: non-finite snapshot time {t!r}")
     counts = [nx * ny] * 4 + [(nx + 1) * ny, nx * (ny + 1)]
     total = sum(counts) * 8
     if len(payload) != total:
@@ -295,6 +305,9 @@ def read_snapshot(path: str | os.PathLike) -> SimState:
         )
         offset += count * 8
     phi, mu, sigma, pressure, u, v = fields
+    for name, values in zip(("phi", "mu", "sigma", "pressure", "u", "v"), fields):
+        if not np.all(np.isfinite(values)):
+            raise SnapshotError(f"{path}: non-finite values in field {name}")
     try:
         vel = MacVelocity(spec, u.reshape(nx + 1, ny), v.reshape(nx, ny + 1))
     except ValueError as exc:
@@ -313,67 +326,52 @@ def read_snapshot(path: str | os.PathLike) -> SimState:
 # invariant checks
 
 
-@dataclass(frozen=True)
-class CheckTolerances:
-    """Pass thresholds for the quick invariant battery."""
-
-    adjointness: float = 1.0e-10
-    self_adjoint: float = 1.0e-12
-    neumann_round_trip: float = 1.0e-8
-    dual_norm_identity: float = 1.0e-10
-    variational: float = 1.0e-6
-    sigma_mean_drift: float = 1.0e-11
-    phi_mean_law: float = 1.0e-9
+def _rel_err(a: float, b: float) -> float:
+    return abs(a - b) / max(abs(a), abs(b), 1.0e-300)
 
 
-def run_checks(cfg: RunConfig, tols: CheckTolerances = CheckTolerances()) -> list:
+def run_checks(cfg: RunConfig) -> list:
     """Fast self-checks on the configured grid and parameters.
 
     Returns ``(name, passed, detail)`` triples; used by the ``check``
     subcommand and handy in test harnesses.
     """
-    from .diagnostics import free_energy
-
     spec = cfg.grid
+    area = spec.cell_area
     p = cfg.params
     rng = np.random.default_rng(2024)
     results = []
 
-    f = ScalarField(spec, rng.standard_normal((spec.nx, spec.ny)))
-    w = MacVelocity.zeros(spec)
-    w.u[1:-1, :] = rng.standard_normal((spec.nx - 1, spec.ny))
-    w.v[:, 1:-1] = rng.standard_normal((spec.nx, spec.ny - 1))
-    lhs = l2_inner(f, div_faces(w))
-    rhs = -face_inner(grad_to_faces(f), w)
-    scale = max(abs(lhs), abs(rhs), 1.0e-300)
-    err = abs(lhs - rhs) / scale
-    results.append(("gradient-divergence adjointness", err <= tols.adjointness, f"rel err {err:.2e}"))
+    f = rng.standard_normal((spec.nx, spec.ny))
+    wu = np.zeros((spec.nx + 1, spec.ny))
+    wv = np.zeros((spec.nx, spec.ny + 1))
+    wu[1:-1, :] = rng.standard_normal((spec.nx - 1, spec.ny))
+    wv[:, 1:-1] = rng.standard_normal((spec.nx, spec.ny - 1))
+    gu, gv = grad_raw(spec, f)
+    err = _rel_err(
+        area * inner_raw(f, div_raw(spec, wu, wv)),
+        -area * (inner_raw(gu, wu) + inner_raw(gv, wv)),
+    )
+    results.append(("gradient-divergence adjointness", err <= ADJOINTNESS_TOL, f"rel err {err:.2e}"))
 
-    g = ScalarField(spec, rng.standard_normal((spec.nx, spec.ny)))
-    lhs = l2_inner(laplacian_neumann(f), g)
-    rhs = l2_inner(f, laplacian_neumann(g))
-    scale = max(abs(lhs), abs(rhs), 1.0e-300)
-    err = abs(lhs - rhs) / scale
-    results.append(("laplacian self-adjointness", err <= tols.self_adjoint, f"rel err {err:.2e}"))
-
-    from .elliptic import inverse_neumann_laplacian
+    g = rng.standard_normal((spec.nx, spec.ny))
+    err = _rel_err(
+        area * inner_raw(laplacian_raw(spec, f), g), area * inner_raw(f, laplacian_raw(spec, g))
+    )
+    results.append(("laplacian self-adjointness", err <= SELF_ADJOINT_TOL, f"rel err {err:.2e}"))
 
     u0 = rng.standard_normal((spec.nx, spec.ny))
     u0 -= u0.mean()
-    u = ScalarField(spec, u0)
-    rhs_field = ScalarField(spec, -laplacian_neumann(u).values)
+    rhs_field = ScalarField(spec, -laplacian_raw(spec, u0))
     rhs_field.values -= rhs_field.values.mean()
     back = inverse_neumann_laplacian(rhs_field)
     err = float(np.max(np.abs(back.values - u0))) / max(float(np.max(np.abs(u0))), 1e-300)
-    results.append(("inverse-laplacian round trip", err <= tols.neumann_round_trip, f"rel err {err:.2e}"))
+    results.append(("inverse-laplacian round trip", err <= ROUND_TRIP_TOL, f"rel err {err:.2e}"))
 
     src = ScalarField(spec, u0.copy())
     nsrc = inverse_neumann_laplacian(src)
-    lhs = grad_norm_sq(nsrc)
-    rhs = l2_inner(src, nsrc)
-    scale = max(abs(lhs), abs(rhs), 1.0e-300)
-    err = abs(lhs - rhs) / scale
-    results.append(("dual-norm identity", err <= tols.dual_norm_identity, f"rel err {err:.2e}"))
+    err = _rel_err(grad_norm_sq(nsrc), l2_inner(src, nsrc))
+    results.append(("dual-norm identity", err <= DUAL_NORM_TOL, f"rel err {err:.2e}"))
 
     phi = ScalarField(spec, 0.6 * (rng.uniform(-1.0, 1.0, (spec.nx, spec.ny))))
     sigma = ScalarField(spec, 0.3 * rng.standard_normal((spec.nx, spec.ny)))
@@ -384,10 +382,8 @@ def run_checks(cfg: RunConfig, tols: CheckTolerances = CheckTolerances()) -> lis
     fm = free_energy(ScalarField(spec, phi.values - h * delta), sigma, p)
     fd = (fp - fm) / (2.0 * h)
     mu = chemical_potential(phi, sigma, p)
-    pairing = l2_inner(mu, ScalarField(spec, delta))
-    scale = max(abs(fd), abs(pairing), 1.0e-300)
-    err = abs(fd - pairing) / scale
-    results.append(("variational derivative", err <= tols.variational, f"rel err {err:.2e}"))
+    err = _rel_err(fd, l2_inner(mu, ScalarField(spec, delta)))
+    results.append(("variational derivative", err <= VARIATIONAL_TOL, f"rel err {err:.2e}"))
 
     small = RunConfig(
         grid=GridSpec(nx=min(spec.nx, 16), ny=min(spec.ny, 16), lx=spec.lx, ly=spec.ly),
@@ -401,11 +397,8 @@ def run_checks(cfg: RunConfig, tols: CheckTolerances = CheckTolerances()) -> lis
     report = mass_check(rows, p)
     # scenarios that start on target have a rounding-dust deficit; judge
     # those on the absolute deviation instead of a dust-over-dust ratio
-    phi_ok = (
-        report.phi_abs_dev <= tols.sigma_mean_drift
-        or report.phi_law_rel_err <= tols.phi_mean_law
-    )
-    ok = report.sigma_drift <= tols.sigma_mean_drift and phi_ok
+    phi_ok = report.phi_abs_dev <= SIGMA_DRIFT_TOL or report.phi_law_rel_err <= PHI_LAW_TOL
+    ok = report.sigma_drift <= SIGMA_DRIFT_TOL and phi_ok
     results.append(
         (
             "mass laws over 20 steps",
@@ -426,7 +419,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir or "chns_out")
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def record(state: SimState, row) -> None:
+    def record(state: SimState) -> None:
         if cfg.cadence > 0:
             write_snapshot(out_dir / f"snap_{state.step:08d}.bin", state)
 
@@ -461,7 +454,10 @@ def _cmd_stationary(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"snapshot grid {state.grid} does not match configured grid {cfg.grid}"
         )
-    eq = solve_stationary(state.phi, state.sigma, cfg.params, cfg.solver)
+    try:
+        eq = solve_stationary(state.phi, state.sigma, cfg.params, cfg.solver)
+    except PotentialDomainError as exc:
+        raise ConfigError(f"{args.seed_snapshot}: {exc}") from exc
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.seed_snapshot).parent
     out_dir.mkdir(parents=True, exist_ok=True)
     eq_state = SimState(

@@ -24,7 +24,7 @@ from .chd import ChdStepReport, ModelParams, chd_step, chemical_potential
 from .diagnostics import LedgerRow, ledger_row
 from .elliptic import SolverConfig
 from .grid import GridSpec, MacVelocity, ScalarField, check_finite
-from .hydro import ProjectionReport, ns_step
+from .hydro import ns_step
 from .state import SimState
 
 __all__ = [
@@ -179,7 +179,7 @@ def initial_state(cfg: RunConfig) -> SimState:
     )
 
 
-def cfl_dt(vel: MacVelocity, base_dt: float, safety: float = 0.5) -> float:
+def cfl_dt(vel: MacVelocity, base_dt: float, safety: float) -> float:
     """Advective step bound: ``min(base_dt, safety * h_min / |vel|_inf)``
     with a floor on the velocity scale so a quiescent flow returns the
     base step."""
@@ -189,45 +189,35 @@ def cfl_dt(vel: MacVelocity, base_dt: float, safety: float = 0.5) -> float:
     return min(base_dt, safety * h_min / vmax)
 
 
-def coupled_step(
-    state: SimState, p: ModelParams, dt: float
-) -> tuple[SimState, ChdStepReport, ProjectionReport]:
+def coupled_step(state: SimState, p: ModelParams, dt: float) -> tuple[SimState, ChdStepReport]:
     """Transport against the frozen velocity, then the projection step
     driven by the fresh fields."""
-    mid, chd_report = chd_step(state, p, dt)
-    vel_new, pressure, proj = ns_step(state.vel, mid.phi, mid.mu, mid.sigma, p, dt)
-    return replace(mid, vel=vel_new, pressure=pressure), chd_report, proj
+    mid, report = chd_step(state, p, dt)
+    vel_new, pressure, _ = ns_step(state.vel, mid.phi, mid.mu, mid.sigma, p, dt)
+    return replace(mid, vel=vel_new, pressure=pressure), report
 
 
 def run(cfg: RunConfig, on_record=None) -> tuple[SimState, list]:
     """March the configured scenario to ``t_end``.
 
     Deterministic for a fixed configuration and seed.  Returns the final
-    state and the per-step ledger; ``on_record(state, row)`` fires for
-    the initial state and then every ``cadence``-th step plus the final
-    one, which is where snapshot writers hook in.
+    state and the per-step ledger; ``on_record(state)`` fires for the
+    initial state and then every ``cadence``-th step plus the final one,
+    which is where snapshot writers hook in.
     """
     state = initial_state(cfg)
     rows: list[LedgerRow] = [ledger_row(state, cfg.params)]
     if on_record is not None:
-        on_record(state, rows[0])
-    hydro = cfg.scenario.evolves_velocity
+        on_record(state)
+    step = coupled_step if cfg.scenario.evolves_velocity else chd_step
 
     while state.t < cfg.t_end - 1.0e-12 * max(cfg.t_end, 1.0):
         dt = cfl_dt(state.vel, cfg.dt, cfg.cfl_safety)
         dt = min(dt, cfg.t_end - state.t)
-        if hydro:
-            state, chd_report, proj = coupled_step(state, cfg.params, dt)
-            div_inf = proj.div_inf_norm
-        else:
-            state, chd_report = chd_step(state, cfg.params, dt)
-            div_inf = None
-        row = ledger_row(
-            state, cfg.params, prev=rows[-1], dt=dt, report=chd_report, div_inf=div_inf
-        )
-        rows.append(row)
+        state, report = step(state, cfg.params, dt)
+        rows.append(ledger_row(state, cfg.params, prev=rows[-1], dt=dt, report=report))
         final = state.t >= cfg.t_end - 1.0e-12 * max(cfg.t_end, 1.0)
         periodic = cfg.cadence > 0 and state.step % cfg.cadence == 0
         if on_record is not None and (periodic or final):
-            on_record(state, row)
+            on_record(state)
     return state, rows

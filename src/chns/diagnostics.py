@@ -77,6 +77,9 @@ class LedgerRow:
 
 LEDGER_FIELDS = tuple(f.name for f in fields(LedgerRow))
 
+#: Tail fraction of the ledger that :func:`separation` studies.
+SEPARATION_WINDOW = 0.2
+
 
 def kinetic_energy(state: SimState) -> float:
     return 0.5 * face_inner(state.vel, state.vel)
@@ -135,7 +138,6 @@ def ledger_row(
     prev: LedgerRow | None = None,
     dt: float | None = None,
     report: ChdStepReport | None = None,
-    div_inf: float | None = None,
 ) -> LedgerRow:
     """Assemble the ledger row for the current state.
 
@@ -151,9 +153,6 @@ def ledger_row(
         resid = bel_residual(prev.total_energy, total, d_visc + d_mu + d_cross, oono, dt)
     else:
         resid = 0.0
-    if div_inf is None:
-        div_inf = float(np.max(np.abs(div_raw(state.grid, state.vel.u, state.vel.v))))
-    phi_abs_max = float(np.max(np.abs(state.phi.values)))
     return LedgerRow(
         step=state.step,
         t=state.t,
@@ -167,8 +166,8 @@ def ledger_row(
         bel_residual=resid,
         mean_phi=mean(state.phi),
         mean_sigma=mean(state.sigma),
-        sep_delta=1.0 - phi_abs_max,
-        div_inf=div_inf,
+        sep_delta=1.0 - float(np.max(np.abs(state.phi.values))),
+        div_inf=float(np.max(np.abs(div_raw(state.grid, state.vel.u, state.vel.v)))),
         sigma_l4=sigma_l4(state.sigma),
         newton_iters=0 if report is None else report.newton_iters,
     )
@@ -226,8 +225,9 @@ class SeparationReport:
     window_start: int
 
 
-def separation(rows: list, window: float = 0.2) -> SeparationReport:
-    """Study ``sep_delta`` over the final ``window`` fraction of the run.
+def separation(rows: list) -> SeparationReport:
+    """Study ``sep_delta`` over the final :data:`SEPARATION_WINDOW`
+    fraction of the run.
 
     ``running_min_nondecreasing`` holds when the running minimum of the
     whole run makes no new low inside the tail, the discrete analogue of
@@ -235,7 +235,7 @@ def separation(rows: list, window: float = 0.2) -> SeparationReport:
     """
     if not rows:
         raise ValueError("separation check needs at least one ledger row")
-    start = max(0, int(len(rows) * (1.0 - window)))
+    start = max(0, int(len(rows) * (1.0 - SEPARATION_WINDOW)))
     margins = np.array([r.sep_delta for r in rows])
     running = np.minimum.accumulate(margins)
     tail_running = running[start:]

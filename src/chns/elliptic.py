@@ -43,7 +43,7 @@ from typing import Callable
 import numpy as np
 import scipy.fft as sfft
 
-from .grid import GridSpec, ScalarField, inner_raw, l2_inner
+from .grid import GridSpec, ScalarField, inner_raw
 
 __all__ = [
     "SolverConfig",
@@ -57,7 +57,6 @@ __all__ = [
     "neumann_solve",
     "neumann_symbol_solve",
     "solve_spd",
-    "v0_norm_sq",
 ]
 
 _DENSE_LIMIT = 4096  # dense mode is for test-sized problems only
@@ -235,16 +234,6 @@ def face_helmholtz(
     u[1:-1, :] = solve(rhs_u[1:-1, :], ("pinned", "odd"))
     v[:, 1:-1] = solve(rhs_v[:, 1:-1], ("odd", "pinned"))
     return u, v
-
-
-def v0_norm_sq(f: ScalarField) -> float:
-    """Squared dual seminorm ``(f, N f)`` of a zero-mean field.
-
-    Equals the Dirichlet energy of ``N f`` by the discrete adjointness,
-    and scales exactly quadratically in ``f``.
-    """
-    nf = inverse_neumann_laplacian(f)
-    return l2_inner(f, nf)
 
 
 # conjugate gradients for general SPD operators

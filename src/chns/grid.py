@@ -11,12 +11,14 @@ centers, velocity components live on the faces they are normal to.  With
 
 Boundary conditions are baked into the operators: homogeneous Neumann for
 scalars via mirrored ghost cells, no penetration for face vectors by
-pinning boundary-normal faces to zero.  ``laplacian_neumann`` is the
-composition ``div_faces(grad_to_faces(.))``, so the summation-by-parts
-identities the energy bookkeeping relies on hold to rounding error:
+pinning boundary-normal faces to zero.  The operators work on raw arrays
+and ``laplacian_raw`` is the composition ``div_raw(grad_raw(.))``, so the
+summation-by-parts identities the energy bookkeeping relies on hold to
+rounding error:
 
-* ``l2_inner(f, div_faces(w)) == -face_inner(grad_to_faces(f), w)``,
-* ``div . grad`` equals the mirrored five-point stencil,
+* ``inner_raw(f, div_raw(spec, u, v)) == -(inner_raw(gu, u) +
+  inner_raw(gv, v))`` with ``gu, gv = grad_raw(spec, f)``,
+* ``laplacian_raw`` equals the mirrored five-point stencil,
 * constants are annihilated and every image field has zero discrete mean.
 
 Quadrature is midpoint throughout: ``integrate(f) = hx * hy * sum(f)``.
@@ -36,13 +38,14 @@ __all__ = [
     "ScalarField",
     "advect_scalar",
     "check_finite",
-    "div_faces",
+    "div_raw",
     "face_inner",
     "grad_norm_sq",
-    "grad_to_faces",
+    "grad_raw",
+    "inner_raw",
     "integrate",
     "l2_inner",
-    "laplacian_neumann",
+    "laplacian_raw",
     "mean",
 ]
 
@@ -202,10 +205,11 @@ def _check_same_grid(a, b) -> None:
         raise GridMismatchError(f"fields live on different grids: {a.grid} vs {b.grid}")
 
 
-# raw-array kernels; the public wrappers add the field types
+# raw-array kernels
 
 
 def grad_raw(spec: GridSpec, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centered face differences; boundary-normal faces carry zero."""
     gu = np.zeros((spec.nx + 1, spec.ny))
     gv = np.zeros((spec.nx, spec.ny + 1))
     gu[1:-1, :] = (f[1:, :] - f[:-1, :]) / spec.hx
@@ -230,6 +234,7 @@ def inner_raw(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def laplacian_raw(spec: GridSpec, f: np.ndarray) -> np.ndarray:
+    """Five-point Laplacian with mirrored (zero normal derivative) ghosts."""
     gu, gv = grad_raw(spec, f)
     return div_raw(spec, gu, gv)
 
@@ -245,21 +250,6 @@ def advect_raw(spec: GridSpec, u: np.ndarray, v: np.ndarray, f: np.ndarray) -> n
     fx[1:-1, :] = u[1:-1, :] * 0.5 * (f[1:, :] + f[:-1, :])
     fy[:, 1:-1] = v[:, 1:-1] * 0.5 * (f[:, 1:] + f[:, :-1])
     return div_raw(spec, fx, fy)
-
-
-def laplacian_neumann(f: ScalarField) -> ScalarField:
-    """Five-point Laplacian with mirrored (zero normal derivative) ghosts."""
-    return ScalarField(f.grid, laplacian_raw(f.grid, f.values))
-
-
-def grad_to_faces(f: ScalarField) -> MacVelocity:
-    """Centered face differences; boundary-normal faces carry zero."""
-    gu, gv = grad_raw(f.grid, f.values)
-    return MacVelocity(f.grid, gu, gv)
-
-
-def div_faces(w: MacVelocity) -> ScalarField:
-    return ScalarField(w.grid, div_raw(w.grid, w.u, w.v))
 
 
 def advect_scalar(w: MacVelocity, f: ScalarField) -> ScalarField:

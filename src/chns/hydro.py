@@ -64,11 +64,11 @@ class ProjectionReport:
     """Pressure-solve bookkeeping for one flow step.
 
     ``pressure_iters`` and ``helmholtz_iters`` stay 0: the step's linear
-    solves are direct.
+    solves are direct.  The post-projection divergence is measured from
+    the state by :func:`~chns.diagnostics.ledger_row`.
     """
 
     pressure_iters: int = 0
-    div_inf_norm: float = 0.0
     helmholtz_iters: int = 0
 
 
@@ -81,7 +81,7 @@ def viscosity_field(phi: ScalarField, p: ModelParams) -> ScalarField:
     return ScalarField(phi.grid, 0.5 * p.nu1 * (1.0 + r) + 0.5 * p.nu2 * (1.0 - r))
 
 
-def _corner_viscosity(spec: GridSpec, nu: np.ndarray) -> np.ndarray:
+def _corner_viscosity(nu: np.ndarray) -> np.ndarray:
     padded = np.pad(nu, 1, mode="edge")
     return 0.25 * (
         padded[:-1, :-1] + padded[1:, :-1] + padded[:-1, 1:] + padded[1:, 1:]
@@ -115,7 +115,7 @@ def viscous_stress_div(vel: MacVelocity, nu: ScalarField) -> MacVelocity:
     dux, dvy, shear = _strain_rates(spec, u, v)
     txx = 2.0 * nu.values * dux
     tyy = 2.0 * nu.values * dvy
-    tau = _corner_viscosity(spec, nu.values) * shear
+    tau = _corner_viscosity(nu.values) * shear
     fu = np.zeros_like(u)
     fu[1:-1, :] = (txx[1:, :] - txx[:-1, :]) / spec.hx + (
         tau[1:-1, 1:] - tau[1:-1, :-1]
@@ -138,7 +138,7 @@ def dissipation_quadrature(vel: MacVelocity, nu: ScalarField) -> float:
     w[-1, :] *= 0.5
     w[:, 0] *= 0.5
     w[:, -1] *= 0.5
-    corners = w * _corner_viscosity(spec, nu.values) * shear * shear
+    corners = w * _corner_viscosity(nu.values) * shear * shear
     return spec.cell_area * float(np.sum(cells) + np.sum(corners))
 
 
@@ -215,8 +215,7 @@ def project(vel_star: MacVelocity, dt: float) -> tuple[MacVelocity, ScalarField,
     q = neumann_solve(ScalarField(spec, -d))
     gu, gv = grad_raw(spec, q.values)
     vel = MacVelocity(spec, vel_star.u - dt * gu, vel_star.v - dt * gv)
-    div_inf = float(np.max(np.abs(div_raw(spec, vel.u, vel.v))))
-    return vel, q, ProjectionReport(div_inf_norm=div_inf)
+    return vel, q, ProjectionReport()
 
 
 def ns_step(

@@ -28,6 +28,8 @@ import numpy as np
 
 from . import potential as pot
 from .chd import ModelParams, _newton_solve, nonlocal_potential
+from .coupled import INIT_MARGIN
+from .diagnostics import free_energy
 from .elliptic import SolverConfig
 from .grid import ScalarField, grad_norm_sq, inner_raw, integrate, laplacian_raw, mean
 
@@ -42,6 +44,8 @@ __all__ = [
 ]
 
 MAX_FLOW_ITER = 5000
+#: Tail fraction of the samples that :func:`rate_fit` fits.
+RATE_FIT_TAIL = 0.5
 
 
 class StationaryError(RuntimeError):
@@ -84,32 +88,36 @@ def solve_stationary(
     sigma_seed: ScalarField,
     p: ModelParams,
     cfg: SolverConfig = SolverConfig(),
-    max_iter: int = MAX_FLOW_ITER,
 ) -> Equilibrium:
     """Relax the seed to a stationary pair under the conserved masses.
 
     The phase mean is pinned to ``c0`` (seed mean when ``alpha`` is
-    zero); the solute follows the phase field pointwise.  Iterates until
-    the zero-mean equilibrium residual has max norm at most
-    ``cfg.rel_tol * theta0``.  Raises :class:`StationaryError` when the
-    shift to the pinned mean leaves no admissible seed for the
-    logarithmic potential.
+    zero); the solute follows the phase field pointwise.  The seed is
+    shifted onto the pinned mean; where that leaves a cell within
+    ``1e-12`` of ``+-1`` under the logarithmic potential, its fluctuation
+    is contracted instead, ``m + lam (seed - mean seed)`` with the largest
+    ``lam`` that keeps every cell ``min(INIT_MARGIN, (1 - |m|)/2)`` inside
+    the interval.  Iterates until the zero-mean equilibrium residual has
+    max norm at most ``cfg.rel_tol * theta0``, for at most
+    :data:`MAX_FLOW_ITER` iterations.  Raises
+    :class:`~chns.potential.PotentialDomainError` when the pinned mean
+    itself lies outside the logarithmic potential's interval.
     """
     spec = phi_seed.grid
     m_target = p.c0 if p.alpha > 0.0 else mean(phi_seed)
     sigma_const = mean(sigma_seed) - p.chi * m_target
 
     phi = phi_seed.values + (m_target - phi_seed.values.mean())
-    if p.potential.variant == "logarithmic":
-        phi = np.clip(phi, -1.0 + 1.0e-12, 1.0 - 1.0e-12)
-        phi += m_target - phi.mean()
-        phi_abs_max = float(np.max(np.abs(phi)))
-        if phi_abs_max >= 1.0:
-            raise StationaryError(
-                f"shifting the seed mean {mean(phi_seed)!r} to the target mean "
-                f"{m_target!r} leaves max|phi| = {phi_abs_max!r} outside the "
+    if p.potential.variant == "logarithmic" and not np.max(np.abs(phi)) < 1.0 - 1.0e-12:
+        if not abs(m_target) < 1.0:
+            raise pot.PotentialDomainError(
+                f"the seed's phase mean {m_target!r} lies outside the "
                 "logarithmic potential's interval (-1, 1)"
             )
+        room = 1.0 - min(INIT_MARGIN, 0.5 * (1.0 - abs(m_target)))
+        fluct = phi_seed.values - phi_seed.values.mean()
+        spread = max(fluct.max() / (room - m_target), -fluct.min() / (room + m_target))
+        phi = m_target + fluct / max(1.0, spread)
 
     tol = cfg.rel_tol * p.theta0
     # effective concave coefficient after eliminating sigma
@@ -128,11 +136,11 @@ def solve_stationary(
     res = residual_field(phi, nphi)
     res_inf = float(np.max(np.abs(res)))
     it = 0
-    while res_inf > tol:
-        if it >= max_iter:
+    while not res_inf <= tol:
+        if it >= MAX_FLOW_ITER:
             raise StationaryError(
                 f"stationary residual {res_inf:.3e} above target {tol:.3e} "
-                f"after {max_iter} gradient-flow iterations"
+                f"after {MAX_FLOW_ITER} gradient-flow iterations"
             )
         it += 1
         g_expl = -theta_eff * phi - p.chi * sigma_const
@@ -158,8 +166,6 @@ def solve_stationary(
 
     phi_field = ScalarField(spec, phi)
     sigma_field = ScalarField(spec, p.chi * phi + sigma_const)
-    from .diagnostics import free_energy  # local import to avoid a cycle
-
     return Equilibrium(
         phi=phi_field,
         sigma=sigma_field,
@@ -191,15 +197,11 @@ class RateFit:
     reason: str = ""
 
 
-def rate_fit(
-    times: np.ndarray,
-    deficits: np.ndarray,
-    tail_fraction: float = 0.5,
-) -> RateFit:
+def rate_fit(times: np.ndarray, deficits: np.ndarray) -> RateFit:
     """Fit ``deficit ~ (1 + t)^m`` on the tail and map the slope to the
     convergence-rate exponent ``kappa = -m / (1 - 2m)``.
 
-    The tail (last ``tail_fraction`` of the samples, at least 3) must be
+    The tail (last :data:`RATE_FIT_TAIL` of the samples, at least 3) must be
     positive and nonincreasing, otherwise the fit is refused.  A
     near-boundary ``kappa_hat`` or a poor linear fit is flagged rather
     than trusted: exponential decay, for instance, drives the slope to
@@ -209,7 +211,7 @@ def rate_fit(
     deficits = np.asarray(deficits, dtype=np.float64)
     if times.shape != deficits.shape or times.ndim != 1:
         raise ValueError("times and deficits must be matching 1-d arrays")
-    n_tail = max(3, int(len(times) * tail_fraction))
+    n_tail = max(3, int(len(times) * RATE_FIT_TAIL))
     if len(times) < 3:
         raise RateFitError("need at least 3 samples for a rate fit")
     t = times[-n_tail:]

@@ -27,7 +27,6 @@ from chns.grid import (
     grad_norm_sq,
     integrate,
     l2_inner,
-    laplacian_neumann,
     laplacian_raw,
     mean,
 )
@@ -68,11 +67,10 @@ def test_uniform_state_is_fixed_point():
     p = ModelParams(chi=0.4, alpha=0.8, beta=1.2, c0=0.3)
     phi = ScalarField.full(spec, 0.3)
     sigma = ScalarField.full(spec, -0.6)
-    phi_new, mu_new, rep = ch_step(phi, sigma, MacVelocity.zeros(spec), p, 0.05)
+    phi_new, mu_new, _ = ch_step(phi, sigma, MacVelocity.zeros(spec), p, 0.05)
     assert np.max(np.abs(phi_new.values - 0.3)) <= 1.0e-13
     want_mu = psi_prime(0.3, p.potential) - p.chi * (-0.6)
     assert np.max(np.abs(mu_new.values - want_mu)) <= 1.0e-12
-    assert rep.phi_max < 1.0 and rep.phi_min > -1.0
 
 
 def test_mean_law_single_step(rng):
@@ -334,7 +332,6 @@ def test_strict_phase_bound_and_safeguard():
     phi_new, _, rep = ch_step(phi, sigma, MacVelocity.zeros(spec), p, 0.2)
     assert rep.clipped_steps >= 1
     assert np.max(np.abs(phi_new.values)) <= 1.0 - 1.0e-12
-    assert rep.phi_max < 1.0 and rep.phi_min > -1.0
 
 
 def test_newton_failure_reports():
@@ -387,7 +384,7 @@ def test_nonlocal_potential_properties(rng):
     phi = ScalarField(spec, rng.uniform(-0.5, 0.5, (10, 10)))
     nphi, _ = nonlocal_potential(phi)
     assert abs(nphi.values.mean()) <= 1.0e-13
-    back = -laplacian_neumann(nphi).values
+    back = -laplacian_raw(spec, nphi.values)
     centered = phi.values - phi.values.mean()
     assert np.max(np.abs(back - centered)) <= 1.0e-9
 

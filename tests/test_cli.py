@@ -2,19 +2,21 @@
 invariant battery of the command-line front end."""
 
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import chns
-from chns import chd
+from chns import chd, cli
 from chns.chd import ModelParams
 from chns.cli import (
     _SCHEMA,
-    CheckTolerances,
     ConfigError,
     SnapshotError,
     main,
@@ -27,8 +29,8 @@ from chns.cli import (
 )
 from chns.coupled import RunConfig, ScenarioConfig
 from chns.diagnostics import LEDGER_FIELDS, LedgerRow
-from chns.grid import GridSpec, MacVelocity, ScalarField
-from chns.potential import PotentialParams
+from chns.grid import GridSpec, MacVelocity, ScalarField, laplacian_raw
+from chns.potential import PotentialParams, psi_prime
 from chns.state import SimState
 
 QUICK = """
@@ -363,6 +365,69 @@ def test_snapshot_truncated_payload_rejected(tmp_path, rng):
         read_snapshot(path)
 
 
+# replacement header tokens: grid sizes stay small, so no header claims a
+# grid much larger than the file, and free text carries no digits
+HEADER_TOKENS = st.one_of(
+    st.integers(-2, 12).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "-inf", "1e400", "0x10", "", "CHNS1"]),
+    st.text(st.characters(min_codepoint=33, max_codepoint=126, exclude_characters="0123456789"),
+            max_size=6),
+)
+# a 4 x 4 snapshot holds 6 fields of 104 doubles in all
+PAYLOAD_DOUBLES = 104
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+# each kind of edit is left out about half the time, so that many mutated
+# files still parse and the checks on the parsed values get exercised
+@given(
+    token_edits=st.just([]) | st.lists(st.tuples(st.integers(0, 6), HEADER_TOKENS), max_size=2),
+    byte_edits=st.just([]) | st.lists(
+        st.tuples(st.integers(0, 8 * PAYLOAD_DOUBLES - 1), st.integers(0, 255)), max_size=4
+    ),
+    value_edits=st.lists(st.tuples(st.integers(0, PAYLOAD_DOUBLES - 1), st.floats()), max_size=2),
+    resize=st.just(0) | st.integers(-9, 9),
+)
+def test_mutated_snapshot_parses_or_raises_snapshot_error(
+    tmp_path, token_edits, byte_edits, value_edits, resize
+):
+    path = tmp_path / "state.bin"
+    write_snapshot(path, random_state(GridSpec(4, 4), np.random.default_rng(0)))
+    header, payload = path.read_bytes().split(b"\n", 1)
+    assert len(payload) == 8 * PAYLOAD_DOUBLES
+    tokens = header.decode("ascii").split()
+    for index, token in token_edits:
+        tokens[index:index + 1] = [token]
+    payload = bytearray(payload)
+    for offset, byte in byte_edits:
+        payload[offset] = byte
+    for index, value in value_edits:
+        struct.pack_into("<d", payload, 8 * index, value)
+    payload = payload[: len(payload) + resize] if resize < 0 else payload + bytes(resize)
+    path.write_bytes(" ".join(tokens).encode("ascii") + b"\n" + bytes(payload))
+    try:
+        state = read_snapshot(path)
+    except SnapshotError:
+        return
+    assert np.isfinite(state.t)
+    for values in (
+        state.phi.values,
+        state.mu.values,
+        state.sigma.values,
+        state.pressure.values,
+        state.vel.u,
+        state.vel.v,
+    ):
+        assert np.all(np.isfinite(values))
+
+
 # run command
 
 
@@ -474,9 +539,9 @@ def test_stationary_grid_mismatch_exits_two(tmp_path, rng, capsys):
     assert "does not match" in capsys.readouterr().err
 
 
-def test_stationary_unreachable_mean_exits_three(tmp_path, capsys):
-    # the droplet's phase mean is about -0.59; pinning it to c0 = 0 pushes
-    # the bulk phase past +1, where the logarithmic potential is undefined
+def test_stationary_contracts_droplet_seed_onto_c0(tmp_path, capsys):
+    # the droplet's phase mean is about -0.59; shifting it to c0 = 0 would
+    # push the bulk phase past +1, so the seed's fluctuation is contracted
     cfg = write_config(
         tmp_path,
         QUICK.replace("t_end = 0.1", "t_end = 0.0")
@@ -484,12 +549,49 @@ def test_stationary_unreachable_mean_exits_three(tmp_path, capsys):
     )
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    code = main(["stationary", "--config", cfg, "--seed-snapshot", str(out / "final.bin")])
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    run_cfg = parse_config(cfg)
+    p = run_cfg.params
+    eq = read_snapshot(out / "equilibrium.bin")
+    phi = eq.phi.values
+    assert abs(phi.mean() - p.c0) <= 1.0e-12
+    assert np.max(np.abs(phi)) < 1.0
+    r = -laplacian_raw(eq.grid, phi) + psi_prime(phi, p.potential) - p.chi * eq.sigma.values
+    assert np.max(np.abs(r - r.mean())) <= run_cfg.solver.rel_tol * p.theta0
+
+
+def test_stationary_seed_mean_outside_phase_interval_exits_two(tmp_path, rng, capsys):
+    # with alpha = 0 the seed's own mean is pinned, and no state of the
+    # logarithmic potential has a mean of 1.2
+    seed = random_state(GridSpec(16, 16), rng)
+    seed.phi.values += 1.2 - seed.phi.values.mean()
+    snap = tmp_path / "seed.bin"
+    write_snapshot(snap, seed)
+    cfg = write_config(tmp_path, QUICK)
+    assert main(["stationary", "--config", cfg, "--seed-snapshot", str(snap)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "outside" in err
+    assert not (tmp_path / "equilibrium.bin").exists()
+
+
+@pytest.mark.parametrize("broken", ["t", "phi"])
+def test_stationary_non_finite_snapshot_exits_two(tmp_path, capsys, broken):
+    cfg = write_config(tmp_path, QUICK)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    seed = read_snapshot(out / "final.bin")
+    if broken == "t":
+        seed.t = float("nan")
+    else:
+        seed.phi.values[3, 5] = np.nan
+    write_snapshot(out / "final.bin", seed)
     capsys.readouterr()
     code = main(["stationary", "--config", cfg, "--seed-snapshot", str(out / "final.bin")])
     err = capsys.readouterr().err
-    assert code == 3
-    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
-    assert "max|phi|" in err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1 and "non-finite" in err
     assert not (out / "equilibrium.bin").exists()
 
 
@@ -561,9 +663,10 @@ def test_check_command_passes(tmp_path, capsys):
     assert out.count("OK  ") == 6
 
 
-def test_run_checks_reports_broken_tolerance():
+def test_run_checks_reports_broken_tolerance(monkeypatch):
     cfg = parse_config(None, ["grid.nx=16", "grid.ny=16"])
-    results = run_checks(cfg, CheckTolerances(adjointness=0.0))
+    monkeypatch.setattr(cli, "ADJOINTNESS_TOL", 0.0)
+    results = run_checks(cfg)
     by_name = {name: ok for name, ok, _ in results}
     assert by_name["gradient-divergence adjointness"] is False
     assert all(ok for name, ok in by_name.items() if name != "gradient-divergence adjointness")

@@ -41,7 +41,7 @@ def test_rest_state_is_fixed_point():
     spec = GridSpec(8, 8)
     p = ModelParams(chi=0.4, alpha=0.6, beta=1.1, c0=0.2)
     state = uniform_state(spec, 0.2, -0.5, p)
-    out, _, _ = coupled_step(state, p, 0.05)
+    out, _ = coupled_step(state, p, 0.05)
     assert np.max(np.abs(out.phi.values - 0.2)) <= 1.0e-13
     assert np.max(np.abs(out.sigma.values + 0.5)) <= 1.0e-13
     assert out.vel.max_abs() <= 1.0e-12
@@ -50,7 +50,7 @@ def test_rest_state_is_fixed_point():
 
 def test_cfl_dt_arithmetic():
     spec = GridSpec(10, 10)
-    assert cfl_dt(MacVelocity.zeros(spec), 0.3) == 0.3
+    assert cfl_dt(MacVelocity.zeros(spec), 0.3, 0.5) == 0.3
     u = np.zeros((11, 10))
     u[5, 3] = 2.0
     vel = MacVelocity(spec, u, np.zeros((10, 11)))
@@ -66,7 +66,7 @@ def test_coupled_step_is_the_advertised_composition(rng):
     state.phi = ScalarField(spec, 0.3 * rng.uniform(-1.0, 1.0, (8, 8)))
     state.sigma = ScalarField(spec, 0.2 * rng.uniform(-1.0, 1.0, (8, 8)))
     dt = 0.01
-    out, _, _ = coupled_step(state, p, dt)
+    out, _ = coupled_step(state, p, dt)
     mid, _ = chd_step(state, p, dt)
     vel_new, pressure, _ = ns_step(state.vel, mid.phi, mid.mu, mid.sigma, p, dt)
     assert np.array_equal(out.phi.values, mid.phi.values)
@@ -280,7 +280,7 @@ def test_model_h_step_matches_dense_oracle(rng):
         t=0.0,
         step=0,
     )
-    out, _, _ = coupled_step(state, p, dt)
+    out, _ = coupled_step(state, p, dt)
     phi_o, mu_o, sigma_o, u_o, v_o, q_o = model_h_oracle_step(
         spec, pparams, pparams.theta0, p.nu1, p.nu2, vel, phi0, sigma0, dt
     )
@@ -329,12 +329,12 @@ def test_run_seed_changes_trajectory():
 def test_record_cadence():
     cfg = RunConfig(grid=GridSpec(8, 8), dt=0.01, t_end=0.05, cadence=2, seed=1)
     seen = []
-    _, rows = run(cfg, on_record=lambda s, row: seen.append(s.step))
+    _, rows = run(cfg, on_record=lambda s: seen.append(s.step))
     assert seen == [0, 2, 4, 5]
     assert len(rows) == 6
     seen = []
     run(RunConfig(grid=GridSpec(8, 8), dt=0.01, t_end=0.05, cadence=0, seed=1),
-        on_record=lambda s, row: seen.append(s.step))
+        on_record=lambda s: seen.append(s.step))
     assert seen == [0, 5]
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from chns.chd import ModelParams, chd_step, chemical_potential, nonlocal_potential
+from chns import diagnostics
 from chns.coupled import RunConfig, ScenarioConfig, run
 from chns.diagnostics import (
     LEDGER_FIELDS,
@@ -287,16 +288,17 @@ def row_with_margin(step, margin):
     )
 
 
-def test_separation_windows():
+def test_separation_windows(monkeypatch):
     rows = [row_with_margin(i, m) for i, m in enumerate([0.5, 0.4, 0.45, 0.42, 0.43, 0.44])]
-    rep = separation(rows, window=0.2)
+    rep = separation(rows)
     assert rep.window_start == 4
     assert rep.min_margin == pytest.approx(0.43)
     assert rep.final_margin == pytest.approx(0.44)
     assert rep.running_min_nondecreasing
 
     worse = [row_with_margin(i, m) for i, m in enumerate([0.5, 0.4, 0.45, 0.42, 0.3, 0.44])]
-    rep = separation(worse, window=0.4)
+    monkeypatch.setattr(diagnostics, "SEPARATION_WINDOW", 0.4)
+    rep = separation(worse)
     assert not rep.running_min_nondecreasing
     with pytest.raises(ValueError, match="ledger row"):
         separation([])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from chns import stationary
 from chns.chd import ModelParams, nonlocal_potential
 from chns.coupled import RunConfig, run
 from chns.diagnostics import free_energy
@@ -97,13 +98,12 @@ def test_energy_not_increased_from_run_end():
     assert eq.free_energy_value <= f_end + 1.0e-8
 
 
-def test_stationary_non_convergence_reports():
+def test_stationary_non_convergence_reports(monkeypatch):
     spec = GridSpec(16, 16)
     p = ModelParams(chi=0.2, beta=1.0)
+    monkeypatch.setattr(stationary, "MAX_FLOW_ITER", 1)
     with pytest.raises(StationaryError, match="gradient-flow iterations"):
-        solve_stationary(
-            cosine_seed(spec, 0.0, 0.4), ScalarField.zeros(spec), p, max_iter=1
-        )
+        solve_stationary(cosine_seed(spec, 0.0, 0.4), ScalarField.zeros(spec), p)
 
 
 def test_deficit_norm_constant_difference():
