@@ -16,6 +16,11 @@ second derivative is bounded below by a positive constant.  For the
 quartic variant this makes ``psi0(r) = r^4/4 + (theta0 - 1) r^2 / 2 +
 1/4`` (constant pinned so that ``psi(+-1) = 0``), so ``theta0 > 1`` is
 required there and ``psi0'' >= theta0 - 1``.
+
+The logarithmic kernels use numpy's vectorized ``log`` and ``arctanh``:
+the entropy ``(1 - r) ln(1 - r) + (1 + r) ln(1 + r)`` is summed from two
+``a ln a`` terms with ``0 ln 0 = 0`` at ``r = +-1``, and the derivative
+``(theta/2) [ln(1 + r) - ln(1 - r)]`` is ``theta arctanh(r)``.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .grid import check_finite
 
@@ -93,14 +97,21 @@ def _check_open(r: np.ndarray, p: PotentialParams) -> None:
         raise PotentialDomainError("logarithmic potential derivatives need |r| < 1")
 
 
+def _a_log_a(a: np.ndarray) -> np.ndarray:
+    """``a ln a`` for ``a >= 0``, with the limit ``0 ln 0 = 0``."""
+    return a * np.log(a, out=np.zeros_like(a), where=a > 0.0)
+
+
+def _entropy(r: np.ndarray) -> np.ndarray:
+    return _a_log_a(1.0 - r) + _a_log_a(1.0 + r)
+
+
 def psi(r, p: PotentialParams):
     """Potential value; accepts scalars or arrays, closed-interval domain."""
     r = np.asarray(r, dtype=np.float64)
     _check_closed(r, p)
     if p.variant == "logarithmic":
-        # xlogy handles the 0 * log 0 endpoint limits
-        ent = xlogy(1.0 - r, 1.0 - r) + xlogy(1.0 + r, 1.0 + r)
-        out = 0.5 * p.theta * ent + 0.5 * p.theta0 * (1.0 - r * r)
+        out = 0.5 * p.theta * _entropy(r) + 0.5 * p.theta0 * (1.0 - r * r)
     else:
         out = 0.25 * (1.0 - r * r) ** 2
     return out if out.ndim else float(out)
@@ -111,8 +122,7 @@ def psi0(r, p: PotentialParams):
     r = np.asarray(r, dtype=np.float64)
     _check_closed(r, p)
     if p.variant == "logarithmic":
-        ent = xlogy(1.0 - r, 1.0 - r) + xlogy(1.0 + r, 1.0 + r)
-        out = 0.5 * p.theta * ent + 0.5 * p.theta0
+        out = 0.5 * p.theta * _entropy(r) + 0.5 * p.theta0
     else:
         out = 0.25 * r**4 + 0.5 * (p.theta0 - 1.0) * r * r + 0.25
     return out if out.ndim else float(out)
@@ -123,7 +133,7 @@ def psi_prime(r, p: PotentialParams):
     r = np.asarray(r, dtype=np.float64)
     _check_open(r, p)
     if p.variant == "logarithmic":
-        out = 0.5 * p.theta * (np.log1p(r) - np.log1p(-r)) - p.theta0 * r
+        out = p.theta * np.arctanh(r) - p.theta0 * r
     else:
         out = r**3 - r
     return out if out.ndim else float(out)
@@ -133,7 +143,7 @@ def psi0_prime(r, p: PotentialParams):
     r = np.asarray(r, dtype=np.float64)
     _check_open(r, p)
     if p.variant == "logarithmic":
-        out = 0.5 * p.theta * (np.log1p(r) - np.log1p(-r))
+        out = p.theta * np.arctanh(r)
     else:
         out = r**3 + (p.theta0 - 1.0) * r
     return out if out.ndim else float(out)

@@ -4,12 +4,17 @@ energy decay, barrier safeguard, and the variational identity."""
 import numpy as np
 import pytest
 from conftest import dense_neumann_laplacian
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from chns import chd
 from chns.chd import (
+    BARRIER_MARGIN,
     GMRES_FORCING,
     ModelParams,
     NewtonError,
+    _barrier_scale,
     _jacobian_solve,
     ch_step,
     chd_step,
@@ -186,21 +191,64 @@ def test_jacobian_solve_matches_dense_oracle(dt, rng):
 
 def test_jacobian_solve_preconditions_once_per_iteration(monkeypatch, rng):
     # GMRES keeps each preconditioned basis vector, so assembling the
-    # solution costs no preconditioner solve beyond one per iteration
+    # solution costs no preconditioner solve beyond one per iteration; each
+    # iteration applies J P^-1 with one Laplacian, and the closing
+    # true-residual check applies J with two
     spec = GridSpec(12, 10)
     x, y = spec.cell_centers()
     phi = 0.99 * np.tanh((np.hypot(x - 0.5, y - 0.5) - 0.25) / 0.05)
     d = psi0_second(phi, LOG)
-    calls = []
+    calls = {"precondition": 0, "laplacian": 0}
 
-    def counting(*args):
-        calls.append(1)
-        return neumann_symbol_solve(*args)
+    def counting(fn, key):
+        def counted(*args):
+            calls[key] += 1
+            return fn(*args)
 
-    monkeypatch.setattr(chd, "neumann_symbol_solve", counting)
+        return counted
+
+    monkeypatch.setattr(chd, "neumann_symbol_solve", counting(neumann_symbol_solve, "precondition"))
+    monkeypatch.setattr(chd, "laplacian_raw", counting(laplacian_raw, "laplacian"))
     _, iters, rel = _jacobian_solve(spec, d, 1.0e-3, rng.standard_normal((12, 10)))
     assert iters > 1 and rel <= GMRES_FORCING
-    assert len(calls) == iters
+    assert calls == {"precondition": iters, "laplacian": iters + 2}
+
+
+def masked_barrier_scale(phi, delta):
+    """The barrier step fraction from boolean-masked quotients."""
+    s = 1.0
+    up = delta > 0.0
+    if np.any(up):
+        s = min(s, float(np.min(BARRIER_MARGIN * (1.0 - phi[up]) / delta[up])))
+    down = delta < 0.0
+    if np.any(down):
+        s = min(s, float(np.min(BARRIER_MARGIN * (1.0 + phi[down]) / (-delta[down]))))
+    return s
+
+
+BARRIER_SHAPES = hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6)
+# nonnegative update sizes, zero and subnormals included
+UPDATE_SIZES = st.floats(0.0, 1.0e3)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(data=st.data(), signs=st.sampled_from(["zero", "up", "down", "mixed"]))
+def test_barrier_scale_matches_masked_formula(data, signs):
+    shape = data.draw(BARRIER_SHAPES)
+    phi = data.draw(
+        hnp.arrays(np.float64, shape, elements=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+    )
+    if signs == "zero":
+        delta = np.zeros(shape)
+    elif signs == "mixed":
+        delta = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-1.0e3, 1.0e3)))
+    else:
+        delta = data.draw(hnp.arrays(np.float64, shape, elements=UPDATE_SIZES))
+        if signs == "down":
+            delta = -delta
+    with np.errstate(over="ignore"):  # subnormal updates
+        want = masked_barrier_scale(phi, delta)
+    assert _barrier_scale(phi, delta) == want
 
 
 def test_step_reports_krylov_iterations(rng):

@@ -2,9 +2,11 @@
 invariant battery of the command-line front end."""
 
 import os
+import platform
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +194,14 @@ def test_minimal_file_keeps_other_defaults(tmp_path):
     assert cfg.grid == GridSpec(12, 20, 1.0, 1.0)
     assert cfg.params.potential.theta0 == 2.0
     assert cfg.scenario.amplitude == 0.05
+
+
+def test_readme_example_config_parses(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(write_config(tmp_path, example))
+    assert cfg.grid == GridSpec(48, 48, 1.0, 1.0)
+    assert (cfg.scenario.name, cfg.seed, cfg.cadence) == ("spinodal", 3, 50)
 
 
 def test_overrides_win_over_file(tmp_path):
@@ -479,6 +489,86 @@ def test_missing_config_exits_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# inputs that configparser, the UTF-8 decoder or the file system refuse;
+# None makes the input a directory
+UNREADABLE_INPUTS = {
+    "no-section-header": ("--config", b"nx = 4\n"),
+    "key-without-value": ("--config", b"[grid]\nnx\n"),
+    "broken-header": ("--config", b"[grid\nnx = 4\n"),
+    "not-utf8": ("--config", b"[grid]\nnx = 4\n; caf\xe9\n"),
+    "config-directory": ("--config", None),
+    "snapshot-directory": ("--seed-snapshot", None),
+}
+
+
+@pytest.mark.parametrize(
+    "flag, content", list(UNREADABLE_INPUTS.values()), ids=list(UNREADABLE_INPUTS)
+)
+def test_unreadable_input_exits_two(tmp_path, capsys, flag, content):
+    bad = tmp_path / "bad"
+    if content is None:
+        bad.mkdir()
+    else:
+        bad.write_bytes(content)
+    out = tmp_path / "out"
+    if flag == "--config":
+        argv = ["run", "--config", str(bad), "--out", str(out)]
+    else:
+        cfg = write_config(tmp_path, QUICK)
+        argv = ["stationary", "--config", cfg, "--seed-snapshot", str(bad), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: ") and str(bad) in err
+    assert not out.exists()
+
+
+# config text and overrides built from the schema's own sections, keys and
+# plausible values, mixed with free text
+FUZZ_SECTIONS = [*_SCHEMA, "DEFAULT", "junk"]
+FUZZ_KEYS = sorted({key for names in _SCHEMA.values() for key in names}) + ["junk"]
+FUZZ_VALUES = st.one_of(
+    st.integers(-3, 200).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["", "nan", "-inf", "1e400", "0x10", "quartic", "droplet", "%(nx)s"]),
+    st.text(max_size=8),
+)
+FUZZ_LINES = st.one_of(
+    st.sampled_from(FUZZ_SECTIONS).map(lambda sec: f"[{sec}]"),
+    st.tuples(
+        st.sampled_from(FUZZ_KEYS), st.sampled_from(["=", " = ", ":", ""]), FUZZ_VALUES
+    ).map("".join),
+    st.text(max_size=12),
+)
+FUZZ_OVERRIDES = st.one_of(
+    st.tuples(st.sampled_from(FUZZ_SECTIONS), st.sampled_from(FUZZ_KEYS), FUZZ_VALUES).map(
+        lambda t: f"{t[0]}.{t[1]}={t[2]}"
+    ),
+    st.text(max_size=12),
+)
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(lines=st.lists(FUZZ_LINES, max_size=8), overrides=st.lists(FUZZ_OVERRIDES, max_size=3))
+def test_random_config_parses_or_raises_config_error(tmp_path, lines, overrides):
+    path = tmp_path / "case.ini"
+    # lone surrogates in the text become bytes that are not UTF-8
+    path.write_text("\n".join(lines), encoding="utf-8", errors="surrogatepass")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # duplicate keys
+        try:
+            cfg = parse_config(path, overrides)
+        except ConfigError:
+            return
+    assert isinstance(cfg, RunConfig)
+
+
 def test_bad_override_exits_two(capsys):
     assert main(["run", "--set", "nonsense"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -672,7 +762,27 @@ def test_run_checks_reports_broken_tolerance(monkeypatch):
     assert all(ok for name, ok in by_name.items() if name != "gradient-divergence adjointness")
 
 
+@pytest.mark.parametrize("tol", ["SIGMA_DRIFT_TOL", "PHI_DEV_TOL"])
+def test_run_and_check_judge_mass_laws_by_the_same_thresholds(tmp_path, capsys, monkeypatch, tol):
+    # QUICK starts on target, so the phase law rests on its absolute
+    # deviation alone
+    cfg = write_config(tmp_path, QUICK)
+    monkeypatch.setattr(cli, tol, -1.0)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "mass law violated" in capsys.readouterr().err
+    by_name = {name: ok for name, ok, _ in run_checks(parse_config(cfg))}
+    assert by_name["mass laws over 20 steps"] is False
+
+
 # thread counts
+
+
+def subprocess_env(**overrides):
+    """Environment of a child Python that imports this checkout's chns."""
+    src = str(Path(chns.__file__).resolve().parents[1])
+    env = dict(os.environ, **overrides)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 # BLAS splits dot products across threads only for long vectors, so the
@@ -686,11 +796,9 @@ def test_run_is_byte_identical_across_blas_thread_counts(tmp_path, n, dt, t_end)
         f"[grid]\nnx = {n}\nny = {n}\n\n[time]\ndt = {dt}\nt_end = {t_end}\n"
         "\n[params]\nchi = 0.2\nalpha = 0.5\nbeta = 1.0\n",
     )
-    src = str(Path(chns.__file__).resolve().parents[1])
     outputs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = subprocess_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         out = tmp_path / f"threads{threads}"
         subprocess.run(
             [sys.executable, "-m", "chns", "run", "--config", cfg, "--out", str(out)],
@@ -701,3 +809,70 @@ def test_run_is_byte_identical_across_blas_thread_counts(tmp_path, n, dt, t_end)
         )
         outputs.append([(out / name).read_bytes() for name in ("ledger.csv", "final.bin")])
     assert outputs[0] == outputs[1]
+
+
+# heap policy
+
+COUPLED = "\n[params]\nchi = 0.2\nalpha = 0.5\nbeta = 1.0\n"
+
+# cli.main with the heap policy switched off
+WITHOUT_HEAP_POLICY = (
+    "import sys\n"
+    "from chns import cli\n"
+    "cli._keep_freed_heap_mapped = lambda: None\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n"
+)
+
+# the minor page faults of the second of two identical commands
+WARM_FAULTS = (
+    "import resource, sys\n"
+    "from chns import cli\n"
+    "assert cli.main(sys.argv[1:]) == 0\n"
+    "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+    "assert cli.main(sys.argv[1:]) == 0\n"
+    "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+)
+
+
+def test_run_is_byte_identical_without_heap_policy(tmp_path):
+    cfg = write_config(
+        tmp_path, "[grid]\nnx = 32\nny = 32\n\n[time]\ndt = 0.001\nt_end = 0.02\n" + COUPLED
+    )
+    outputs = []
+    for launch in (["-m", "chns"], ["-c", WITHOUT_HEAP_POLICY]):
+        out = tmp_path / launch[0]
+        subprocess.run(
+            [sys.executable, *launch, "run", "--config", cfg, "--out", str(out)],
+            env=subprocess_env(),
+            check=True,
+            capture_output=True,
+            timeout=300,
+        )
+        outputs.append([(out / name).read_bytes() for name in ("ledger.csv", "final.bin")])
+    assert len(read_ledger_csv(tmp_path / "-m" / "ledger.csv")) == 21
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc", reason="the heap policy acts under glibc only"
+)
+def test_warm_stationary_solve_keeps_heap_mapped(tmp_path):
+    # without the policy the second 96^2 solve takes about 3000 minor
+    # faults, as glibc trims and refaults the heap on every iteration
+    cfg = write_config(
+        tmp_path,
+        "[grid]\nnx = 96\nny = 96\n\n[time]\ndt = 0.001\nt_end = 0.0\n"
+        "\n[scenario]\nseed = 1\n" + COUPLED,
+    )
+    seed = tmp_path / "seed"
+    assert main(["run", "--config", cfg, "--out", str(seed)]) == 0
+    argv = ["stationary", "--config", cfg, "--seed-snapshot", str(seed / "final.bin")]
+    proc = subprocess.run(
+        [sys.executable, "-c", WARM_FAULTS, *argv, "--out", str(tmp_path / "eq")],
+        env=subprocess_env(),
+        check=True,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert int(proc.stdout.split()[-1]) < 300

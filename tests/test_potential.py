@@ -6,6 +6,7 @@ closed forms and are frozen here as literals.
 
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
 from chns.potential import (
     PotentialDomainError,
@@ -131,3 +132,38 @@ def test_array_and_scalar_returns():
     out = psi(np.array([0.0, 0.5]), LOG)
     assert isinstance(out, np.ndarray) and out.shape == (2,)
     assert isinstance(psi(0.5, LOG), float)
+
+
+# r = +-(1 - 2^-k) for k = 1..52 reaches the last double below 1
+EDGE = 1.0 - 2.0 ** -np.arange(1, 53)
+OPEN_GRID = np.unique(np.concatenate([np.linspace(-1.0, 1.0, 2001)[1:-1], EDGE, -EDGE, [0.0]]))
+CLOSED_GRID = np.concatenate([[-1.0], OPEN_GRID, [1.0]])
+
+
+def entropy_by_xlogy(r):
+    return xlogy(1.0 - r, 1.0 - r) + xlogy(1.0 + r, 1.0 + r)
+
+
+def within_ulps(got, want, scale, ulps=4):
+    return np.all(np.abs(got - want) <= ulps * np.spacing(np.abs(scale)))
+
+
+def test_log_potential_values_match_xlogy_form():
+    r = CLOSED_GRID
+    p = LOG
+    want_psi = 0.5 * p.theta * entropy_by_xlogy(r) + 0.5 * p.theta0 * (1.0 - r * r)
+    want_psi0 = 0.5 * p.theta * entropy_by_xlogy(r) + 0.5 * p.theta0
+    assert within_ulps(psi(r, p), want_psi, want_psi)
+    assert within_ulps(psi0(r, p), want_psi0, want_psi0)
+
+
+def test_log_potential_derivatives_match_log1p_form():
+    # psi' loses relative accuracy near its root, where its two terms
+    # cancel, so both forms are held to the larger term's rounding
+    r = OPEN_GRID
+    p = LOG
+    log_term = 0.5 * p.theta * (np.log1p(r) - np.log1p(-r))
+    quad_term = p.theta0 * r
+    scale = np.maximum(np.abs(log_term), np.abs(quad_term))
+    assert within_ulps(psi_prime(r, p), log_term - quad_term, scale)
+    assert within_ulps(psi0_prime(r, p), log_term, log_term)
