@@ -55,8 +55,6 @@ from .elliptic import (
     neumann_symbol_solve,
 )
 
-# unused here, but perfbench/tracing.py (WRAPS) patches these names on this module
-from .elliptic import cg_raw, solve_spd  # noqa: F401
 from .grid import (
     GridSpec,
     MacVelocity,
@@ -96,15 +94,9 @@ GMRES_MAX_ITER = 50
 _INTERIOR_CAP = float(np.nextafter(1.0, 0.0))
 
 
-def __getattr__(name: str):
-    # perfbench/tracing.py (WRAPS) patches ``chd.splu``, which nothing here
-    # calls; importing it on first access keeps scipy.sparse out of every
-    # run.  ROADMAP item 2 deletes the name with the tracer's LU entries.
-    if name == "splu":
-        from scipy.sparse.linalg import splu
-
-        return splu
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# perfbench/tracing.py (WRAPS) patches these names, which nothing calls;
+# ROADMAP item 2 drops them with the tracer's entries
+cg_raw = solve_spd = splu = None
 
 
 class NewtonError(RuntimeError):

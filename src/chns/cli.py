@@ -5,9 +5,9 @@ Configuration is INI-style text with sections ``[grid]``, ``[params]``,
 the schema: a key sets the field of the same name (``_SCHEMA`` lists the
 three that sit elsewhere), is converted by that field's type, and takes
 the field's default when left out; the grid defaults to 64 x 64.
-Unknown sections or keys are rejected; a key repeated within a section
-keeps its last value and emits a warning.  ``--set section.key=value``
-overrides individual entries.
+Unknown sections or keys, keys under ``[DEFAULT]``, and a section or a
+key within a section given twice are rejected.  ``--set
+section.key=value`` overrides individual entries.
 
 Outputs are a per-step CSV ledger (full round-trip precision, so every
 value re-parses to the exact double) and binary snapshots: an ASCII
@@ -33,7 +33,6 @@ import ctypes
 import os
 import re
 import sys
-import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -143,30 +142,6 @@ _SCHEMA = {
 _GRID_DEFAULT = {"nx": "64", "ny": "64"}
 
 
-def _warn_duplicate_keys(text: str) -> None:
-    section = None
-    seen: dict[tuple[str, str], int] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith(("#", ";")):
-            continue
-        m = re.match(r"\[(.+)\]\s*$", line)
-        if m:
-            section = m.group(1).strip()
-            continue
-        m = re.match(r"([^=:\s][^=:]*)[=:]", line)
-        if m and section is not None:
-            key = m.group(1).strip().lower()
-            seen[(section, key)] = seen.get((section, key), 0) + 1
-    for (sec, key), count in seen.items():
-        if count > 1:
-            warnings.warn(
-                f"duplicate key {key!r} in [{sec}]; keeping the last value",
-                UserWarning,
-                stacklevel=3,
-            )
-
-
 def parse_config(path: str | os.PathLike | None, overrides: list | None = None) -> RunConfig:
     """Read a config file (optional) and apply dotted overrides.
 
@@ -175,13 +150,13 @@ def parse_config(path: str | os.PathLike | None, overrides: list | None = None) 
     """
     given = {("grid", key): value for key, value in _GRID_DEFAULT.items()}
     if path is not None:
-        parser = configparser.ConfigParser(strict=False, interpolation=None)
+        parser = configparser.ConfigParser(strict=True, interpolation=None)
         try:
-            text = Path(path).read_text(encoding="utf-8")
-            parser.read_string(text, source=str(path))
+            parser.read_string(Path(path).read_text(encoding="utf-8"), source=str(path))
         except (configparser.Error, UnicodeDecodeError, OSError) as exc:
             raise ConfigError(f"{path}: cannot read config: {_one_line(exc)}") from exc
-        _warn_duplicate_keys(text)
+        if parser.defaults():
+            raise ConfigError(f"{path}: unknown config section [{parser.default_section}]")
         for sec in parser.sections():
             if sec not in _SCHEMA:
                 raise ConfigError(f"unknown config section [{sec}]")
@@ -239,9 +214,12 @@ def _build_run_config(given: dict) -> RunConfig:
 
 # ledger CSV
 
+#: ledger columns written and read as integers; every other column is a float
+_LEDGER_INTS = frozenset(f.name for f in fields(LedgerRow) if f.type == "int")
+
 
 def _format_value(name: str, value) -> str:
-    if name in ("step", "newton_iters"):
+    if name in _LEDGER_INTS:
         return str(int(value))
     return repr(float(value))
 
@@ -270,7 +248,7 @@ def read_ledger_csv(path: str | os.PathLike) -> list:
             kwargs = {}
             for name, raw in zip(LEDGER_FIELDS, record):
                 try:
-                    kwargs[name] = int(raw) if name in ("step", "newton_iters") else float(raw)
+                    kwargs[name] = int(raw) if name in _LEDGER_INTS else float(raw)
                 except ValueError as exc:
                     raise ConfigError(
                         f"{path}: ledger line {reader.line_num}: {name} is not a number: {raw!r}"
@@ -452,12 +430,21 @@ def run_checks(cfg: RunConfig) -> list:
 # subcommands
 
 
+def _output_dir(path: str | os.PathLike) -> Path:
+    """Create the output directory ``path`` if need be and return it."""
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{out_dir}: cannot create output directory: {_one_line(exc)}") from exc
+    return out_dir
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = parse_config(args.config, args.overrides)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    out_dir = Path(args.out_dir or "chns_out")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(args.out_dir or "chns_out")
 
     def record(state: SimState) -> None:
         if cfg.cadence > 0:
@@ -497,8 +484,7 @@ def _cmd_stationary(args: argparse.Namespace) -> int:
         eq = solve_stationary(state.phi, state.sigma, cfg.params, cfg.solver)
     except PotentialDomainError as exc:
         raise ConfigError(f"{args.seed_snapshot}: {exc}") from exc
-    out_dir = Path(args.out_dir) if args.out_dir else Path(args.seed_snapshot).parent
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(args.out_dir or Path(args.seed_snapshot).parent)
     eq_state = SimState(
         vel=MacVelocity.zeros(cfg.grid),
         phi=eq.phi,

@@ -28,27 +28,21 @@ Jacobian.
 The Neumann operator annihilates constants, so the inverse works on the
 zero-mean subspace: right-hand sides must be compatible and the solution
 has zero mean.
-
-A conjugate-gradient routine for general SPD operators stays available
-(``solve_spd``, ``cg_raw``), with a dense mode that test oracles use to
-cross-check it.  No solve inside the time step goes through it.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.fft as sfft
 
-from .grid import GridSpec, ScalarField, inner_raw
+from .grid import GridSpec, ScalarField
 
 __all__ = [
     "SolverConfig",
     "SolverError",
-    "cg_raw",
     "face_helmholtz",
     "fluctuation_potential",
     "inverse_neumann_laplacian",
@@ -56,10 +50,11 @@ __all__ = [
     "neumann_helmholtz",
     "neumann_solve",
     "neumann_symbol_solve",
-    "solve_spd",
 ]
 
-_DENSE_LIMIT = 4096  # dense mode is for test-sized problems only
+# perfbench/tracing.py (WRAPS) patches these names, which nothing calls;
+# ROADMAP item 2 drops them with the tracer's entries
+cg_raw = solve_spd = None
 
 
 class SolverError(RuntimeError):
@@ -68,29 +63,18 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and mode for the conjugate-gradient solves.
+    """Residual target of :func:`~chns.stationary.solve_stationary`.
 
-    The transform solves are exact and take no tolerance; ``rel_tol``
-    also sets the residual target of :func:`~chns.stationary.solve_stationary`.
-    ``max_iter`` of ``None`` resolves to ``10 * n`` for an ``n``-unknown
-    system.  ``rel_tol`` is relative to the right-hand side norm and must
-    lie in ``(0, 1e-4]``.
+    The transform solves are exact and take no tolerance.  The stationary
+    solve stops once its residual is at most ``rel_tol * theta0``;
+    ``rel_tol`` must lie in ``(0, 1e-4]``.
     """
 
     rel_tol: float = 1.0e-10
-    max_iter: int | None = None
-    mode: str = "iterative"
 
     def __post_init__(self) -> None:
         if not (0.0 < self.rel_tol <= 1.0e-4):
             raise ValueError(f"rel_tol must lie in (0, 1e-4], got {self.rel_tol}")
-        if self.max_iter is not None and self.max_iter < 1:
-            raise ValueError(f"max_iter must be positive, got {self.max_iter}")
-        if self.mode not in ("iterative", "dense"):
-            raise ValueError(f"mode must be 'iterative' or 'dense', got {self.mode!r}")
-
-    def resolve_max_iter(self, n: int) -> int:
-        return self.max_iter if self.max_iter is not None else 10 * n
 
 
 # fast-transform solves
@@ -234,124 +218,3 @@ def face_helmholtz(
     u[1:-1, :] = solve(rhs_u[1:-1, :], ("pinned", "odd"))
     v[:, 1:-1] = solve(rhs_v[:, 1:-1], ("odd", "pinned"))
     return u, v
-
-
-# conjugate gradients for general SPD operators
-
-
-def _project_mean(x: np.ndarray) -> np.ndarray:
-    return x - x.mean()
-
-
-def cg_raw(
-    apply_fn: Callable[[np.ndarray], np.ndarray],
-    b: np.ndarray,
-    x0: np.ndarray | None = None,
-    *,
-    rel_tol: float = 1.0e-10,
-    max_iter: int = 1000,
-    singular: bool = False,
-) -> tuple[np.ndarray, int]:
-    """Conjugate gradients on raw arrays of any shape.
-
-    ``singular`` handles operators whose kernel is the constants: right
-    hand side, initial guess and returned solution are projected onto the
-    zero-mean subspace, on which the operator must be definite.
-    """
-    b = np.asarray(b, dtype=np.float64)
-    if singular:
-        b = _project_mean(b)
-    b_norm = float(np.sqrt(inner_raw(b, b)))
-    if b_norm == 0.0:
-        return np.zeros_like(b), 0
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=np.float64)
-    if singular:
-        x = _project_mean(x)
-    r = b - apply_fn(x)
-    if singular:
-        r = _project_mean(r)
-    tol = rel_tol * b_norm
-    rs = inner_raw(r, r)
-    if np.sqrt(rs) <= tol:
-        return x, 0
-    p = r.copy()
-    for k in range(1, max_iter + 1):
-        ap = apply_fn(p)
-        denom = inner_raw(p, ap)
-        if denom <= 0.0:
-            raise SolverError(
-                f"operator not positive definite on the search space (p.Ap = {denom:.3e})"
-            )
-        alpha = rs / denom
-        x += alpha * p
-        r -= alpha * ap
-        if singular:
-            r = _project_mean(r)
-        rs_new = inner_raw(r, r)
-        if np.sqrt(rs_new) <= tol:
-            if singular:
-                x = _project_mean(x)
-            return x, k
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    raise SolverError(
-        f"conjugate gradients stalled after {max_iter} iterations, "
-        f"relative residual {np.sqrt(rs) / b_norm:.3e} (target {rel_tol:.1e})"
-    )
-
-
-def _solve_dense(
-    apply_fn: Callable[[np.ndarray], np.ndarray],
-    b: np.ndarray,
-    singular: bool,
-) -> np.ndarray:
-    n = b.size
-    if n > _DENSE_LIMIT:
-        raise SolverError(f"dense mode supports at most {_DENSE_LIMIT} unknowns, got {n}")
-    shape = b.shape
-    mat = np.empty((n, n))
-    e = np.zeros(shape)
-    flat = e.reshape(-1)
-    for j in range(n):
-        flat[j] = 1.0
-        mat[:, j] = apply_fn(e).reshape(-1)
-        flat[j] = 0.0
-    rhs = b.reshape(-1)
-    if singular:
-        # shift the constant kernel to make the system invertible, then
-        # project the mean back out
-        scale = np.trace(mat) / n
-        mat = mat + scale * np.ones((n, n)) / n
-        rhs = rhs - rhs.mean()
-    x = np.linalg.solve(mat, rhs)
-    if singular:
-        x = x - x.mean()
-    return x.reshape(shape)
-
-
-def solve_spd(
-    apply_fn: Callable[[np.ndarray], np.ndarray],
-    rhs: ScalarField,
-    cfg: SolverConfig = SolverConfig(),
-    x0: ScalarField | None = None,
-    *,
-    singular: bool = False,
-) -> tuple[ScalarField, int]:
-    """Solve ``A x = rhs`` for a symmetric positive (semi)definite ``A``
-    by conjugate gradients (or densely, in dense mode).
-
-    ``apply_fn`` acts on raw cell arrays.  Returns the solution and the
-    iteration count (zero in dense mode).
-    """
-    if cfg.mode == "dense":
-        x = _solve_dense(apply_fn, rhs.values, singular)
-        return ScalarField(rhs.grid, x), 0
-    x, iters = cg_raw(
-        apply_fn,
-        rhs.values,
-        None if x0 is None else x0.values,
-        rel_tol=cfg.rel_tol,
-        max_iter=cfg.resolve_max_iter(rhs.values.size),
-        singular=singular,
-    )
-    return ScalarField(rhs.grid, x), iters

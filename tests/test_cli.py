@@ -6,7 +6,6 @@ import platform
 import struct
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -240,11 +239,14 @@ def test_non_numeric_value_rejected():
         parse_config(None, ["params.chi=abc"])
 
 
-def test_duplicate_key_warns_and_keeps_last(tmp_path):
-    path = write_config(tmp_path, "[params]\nchi = 0.1\nchi = 0.3\n")
-    with pytest.warns(UserWarning, match="duplicate key"):
-        cfg = parse_config(path)
-    assert cfg.params.chi == 0.3
+def test_default_section_exits_two(tmp_path, capsys):
+    path = write_config(tmp_path, "[DEFAULT]\nnx = 4\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(f"error: {path}: ") and "[DEFAULT]" in err
+    assert not out.exists()
 
 
 # ledger CSV
@@ -490,11 +492,18 @@ def test_missing_config_exits_two(tmp_path, capsys):
 
 
 # inputs that configparser, the UTF-8 decoder or the file system refuse;
-# None makes the input a directory
+# None makes the input a directory.  configparser reads a section header
+# with text after its bracket as that section.
 UNREADABLE_INPUTS = {
     "no-section-header": ("--config", b"nx = 4\n"),
     "key-without-value": ("--config", b"[grid]\nnx\n"),
     "broken-header": ("--config", b"[grid\nnx = 4\n"),
+    "duplicate-key": ("--config", b"[params]\nchi = 0.1\nchi = 0.3\n"),
+    "duplicate-section": ("--config", b"[grid]\nnx = 8\n[time]\ndt = 0.01\n[grid]\nny = 8\n"),
+    "duplicate-header-with-comment": (
+        "--config",
+        b"[grid] ; first\nnx = 8\nny = 8\n[time]\ndt = 0.01\n[grid] ; again\nnx = 16\n",
+    ),
     "not-utf8": ("--config", b"[grid]\nnx = 4\n; caf\xe9\n"),
     "config-directory": ("--config", None),
     "snapshot-directory": ("--seed-snapshot", None),
@@ -560,13 +569,21 @@ def test_random_config_parses_or_raises_config_error(tmp_path, lines, overrides)
     path = tmp_path / "case.ini"
     # lone surrogates in the text become bytes that are not UTF-8
     path.write_text("\n".join(lines), encoding="utf-8", errors="surrogatepass")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # duplicate keys
-        try:
-            cfg = parse_config(path, overrides)
-        except ConfigError:
-            return
+    try:
+        cfg = parse_config(path, overrides)
+    except ConfigError:
+        return
     assert isinstance(cfg, RunConfig)
+
+
+def test_run_out_naming_a_file_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path, QUICK)
+    out = tmp_path / "afile"
+    out.write_text("")
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(f"error: {out}: cannot create output directory")
 
 
 def test_bad_override_exits_two(capsys):
@@ -683,6 +700,20 @@ def test_stationary_non_finite_snapshot_exits_two(tmp_path, capsys, broken):
     assert code == 2
     assert len(err.strip().splitlines()) == 1 and "non-finite" in err
     assert not (out / "equilibrium.bin").exists()
+
+
+def test_stationary_out_naming_a_file_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path, QUICK.replace("t_end = 0.1", "t_end = 0.0"))
+    seed = tmp_path / "seed"
+    assert main(["run", "--config", cfg, "--out", str(seed)]) == 0
+    out = tmp_path / "afile"
+    out.write_text("")
+    capsys.readouterr()
+    argv = ["stationary", "--config", cfg, "--seed-snapshot", str(seed / "final.bin")]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(f"error: {out}: cannot create output directory")
 
 
 def test_ratefit_needs_three_snapshots(tmp_path, rng, capsys):

@@ -105,29 +105,46 @@ def test_no_unread_parameters():
     assert not found, "parameters never read: " + ", ".join(found)
 
 
-def test_run_does_not_import_scipy_sparse(tmp_path):
-    # every solve is a transform or matrix-free; only the benchmark
-    # tracer's lookup of chd.splu loads scipy.sparse
-    code = (
-        "import sys\n"
-        "from chns.cli import main\n"
-        "args = ['run', '--set', 'grid.nx=16', '--set', 'grid.ny=16',\n"
-        "        '--set', 'time.t_end=0.005', '--out', sys.argv[1]]\n"
-        "assert main(args) == 0\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
-    )
+def sparse_modules_after(code, *args):
+    """The ``scipy.sparse`` modules loaded once ``code`` ran in a fresh
+    interpreter with ``args`` as ``sys.argv[1:]``."""
+    code += "\nprint(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path / "out")],
+        [sys.executable, "-c", code, *args],
         env=env,
         check=True,
         capture_output=True,
         text=True,
         timeout=120,
     )
+    return done.stdout.splitlines()[-1]
+
+
+def test_run_does_not_import_scipy_sparse(tmp_path):
+    # every solve is a transform or matrix-free, so nothing needs scipy.sparse
+    code = (
+        "import sys\n"
+        "from chns.cli import main\n"
+        "args = ['run', '--set', 'grid.nx=16', '--set', 'grid.ny=16',\n"
+        "        '--set', 'time.t_end=0.005', '--out', sys.argv[1]]\n"
+        "assert main(args) == 0\n"
+    )
+    assert sparse_modules_after(code, str(tmp_path / "out")) == "[]"
     assert (tmp_path / "out" / "ledger.csv").exists()
-    assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_tracer_does_not_import_scipy_sparse():
+    # the tracer looks up every WRAPS name, the placeholders included
+    code = (
+        "import importlib.util, sys\n"
+        "spec = importlib.util.spec_from_file_location('perfbench_tracing', sys.argv[1])\n"
+        "tracing = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(tracing)\n"
+        "tracing.Tracer().install()\n"
+    )
+    assert sparse_modules_after(code, str(TRACING)) == "[]"
 
 
 def test_benchmark_import_contract():
