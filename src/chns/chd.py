@@ -42,13 +42,13 @@ interval.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
 from . import potential as pot
 from .elliptic import (
     SolverConfig,
+    SolverError,
     fluctuation_potential,
     neumann_eigenvalues,
     neumann_helmholtz,
@@ -88,6 +88,9 @@ BARRIER_MARGIN = 0.9
 # counts of an exact linear solve unchanged.
 GMRES_FORCING = 1.0e-6
 GMRES_MAX_ITER = 50
+# a Newton update below this fraction of max(1, max|phi|) is rounding: stalled
+# updates measure 9e-19 to 4.1e-15, the last productive ones 2.6e-8 and up
+_UPDATE_FLOOR = 1.0e-13
 
 # largest double strictly below 1; keeps barrier iterates evaluable even
 # when rounding of phi + s * delta would land exactly on +-1
@@ -99,7 +102,7 @@ _INTERIOR_CAP = float(np.nextafter(1.0, 0.0))
 cg_raw = solve_spd = splu = None
 
 
-class NewtonError(RuntimeError):
+class NewtonError(SolverError):
     """Nonlinear phase-field solve failed to converge."""
 
 
@@ -195,38 +198,37 @@ def _barrier_scale(phi: np.ndarray, delta: np.ndarray) -> float:
     return min(1.0, float(up.min()), float(down.min()))
 
 
-def _gmres(
-    apply_op: Callable[[np.ndarray], np.ndarray],
-    precondition: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    b: np.ndarray,
-    rtol: float,
-    max_iter: int,
-) -> tuple[np.ndarray, int, float]:
-    """Right-preconditioned GMRES for ``A x = b`` from a zero start.
+def _preconditioner_symbol(spec: GridSpec, d: np.ndarray, dt: float) -> np.ndarray:
+    """Cosine-mode eigenvalues of ``1/dt + lap^2 - mean(d) lap``, the
+    constant-coefficient counterpart of the Newton Jacobian."""
+    lam = neumann_eigenvalues(spec)
+    return 1.0 / dt + lam * (lam + float(d.mean()))
 
-    Arnoldi with modified Gram-Schmidt and Givens rotations, no restart.
-    ``precondition(v)`` returns ``(z, A z)`` with ``z = P^-1 v``, so that
-    the caller can form ``A z`` from ``v`` where that is cheaper than
-    applying ``A``.  Each preconditioned basis vector ``z_j`` is kept, as
-    in flexible GMRES (Saad, SIAM J. Sci. Comput. 14, 1993), so the
-    iterate ``x = sum_j y_j z_j`` costs no further preconditioner solve.
-    Stops once the true residual ``|A x - b|``, with ``A`` applied by
-    ``apply_op``, is at most ``rtol |b|`` or after ``max_iter``
-    iterations.  Returns ``(x, iterations, relative residual)``; the
-    caller judges a residual above ``rtol``.
+
+def _jacobian_solve(
+    spec: GridSpec, d: np.ndarray, dt: float, b: np.ndarray
+) -> tuple[np.ndarray, int, float]:
+    """Solve the Newton system ``J x = x/dt + lap(lap x - d x) = b`` by the
+    module docstring's flexible preconditioned GMRES (modified Gram-Schmidt,
+    Givens rotations, no restart) until the true residual is at most
+    :data:`GMRES_FORCING` ``|b|``, for at most :data:`GMRES_MAX_ITER`
+    iterations.  Returns ``(x, iterations, relative residual)``.
     """
+    symbol = _preconditioner_symbol(spec, d, dt)
+    d_dev = d - float(d.mean())
     b_norm = np.sqrt(inner_raw(b, b))
     basis = [b / b_norm]
     preconditioned = []
-    hess = np.zeros((max_iter + 1, max_iter))
-    cs = np.zeros(max_iter)
-    sn = np.zeros(max_iter)
-    g = np.zeros(max_iter + 1)
+    hess = np.zeros((GMRES_MAX_ITER + 1, GMRES_MAX_ITER))
+    cs = np.zeros(GMRES_MAX_ITER)
+    sn = np.zeros(GMRES_MAX_ITER)
+    g = np.zeros(GMRES_MAX_ITER + 1)
     g[0] = b_norm
     k = 0
     while True:
-        z, w = precondition(basis[k])
+        z = neumann_symbol_solve(basis[k], symbol)
         preconditioned.append(z)
+        w = basis[k] - laplacian_raw(spec, d_dev * z)
         for i, v in enumerate(basis):
             hess[i, k] = inner_raw(w, v)
             w -= hess[i, k] * v
@@ -240,50 +242,31 @@ def _gmres(
         g[k + 1] = -sn[k] * g[k]
         g[k] *= cs[k]
         k += 1
-        if abs(g[k]) <= rtol * b_norm or k == max_iter:
+        if abs(g[k]) <= GMRES_FORCING * b_norm or k == GMRES_MAX_ITER:
             y = np.zeros(k)
             for i in range(k - 1, -1, -1):
                 y[i] = (g[i] - inner_raw(hess[i, i + 1 : k], y[i + 1 :])) / hess[i, i]
             x = y[0] * preconditioned[0]
             for yi, z in zip(y[1:], preconditioned[1:]):
                 x += yi * z
-            r = apply_op(x) - b
+            r = x / dt + laplacian_raw(spec, laplacian_raw(spec, x) - d * x) - b
             rel = float(np.sqrt(inner_raw(r, r)) / b_norm)
-            if rel <= rtol or k == max_iter:
+            if rel <= GMRES_FORCING or k == GMRES_MAX_ITER:
                 return x, k, rel
         basis.append(w / h_next)
 
 
-def _preconditioner_symbol(spec: GridSpec, d: np.ndarray, dt: float) -> np.ndarray:
-    """Cosine-mode eigenvalues of ``1/dt + lap^2 - mean(d) lap``, the
-    constant-coefficient counterpart of the Newton Jacobian."""
-    lam = neumann_eigenvalues(spec)
-    return 1.0 / dt + lam * (lam + float(d.mean()))
-
-
-def _jacobian_solve(
-    spec: GridSpec, d: np.ndarray, dt: float, b: np.ndarray
-) -> tuple[np.ndarray, int, float]:
-    """Solve the Newton system ``x/dt + lap(lap x - d x) = b``.
-
-    GMRES on the matrix-free Jacobian, right-preconditioned with the
-    transform solve of ``P = 1/dt + lap^2 - mean(d) lap``, to the forcing
-    term :data:`GMRES_FORCING`.  Since ``J = P - lap((d - mean d) .)``,
-    each Krylov iteration forms ``J P^-1 v = v - lap((d - mean d) P^-1
-    v)`` with one Laplacian; the closing true-residual check applies
-    ``J`` in full.  Returns ``(x, iterations, relative residual)``.
-    """
-    symbol = _preconditioner_symbol(spec, d, dt)
-    d_dev = d - float(d.mean())
-
-    def apply_jac(x: np.ndarray) -> np.ndarray:
-        return x / dt + laplacian_raw(spec, laplacian_raw(spec, x) - d * x)
-
-    def precondition(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        z = neumann_symbol_solve(v, symbol)
-        return z, v - laplacian_raw(spec, d_dev * z)
-
-    return _gmres(apply_jac, precondition, b, GMRES_FORCING, GMRES_MAX_ITER)
+def _scheme_mu(
+    spec: GridSpec,
+    pparams: PotentialParams,
+    phi: np.ndarray,
+    phi0: np.ndarray,
+    gd: float,
+    g_expl: np.ndarray,
+) -> np.ndarray:
+    """The scheme's chemical potential ``-lap phi + psi0'(phi) + gd (phi -
+    phi0) + g_expl``, with ``gd = gamma/dt`` and the explicit lags ``g_expl``."""
+    return -laplacian_raw(spec, phi) + pot.psi0_prime(phi, pparams) + gd * (phi - phi0) + g_expl
 
 
 def _newton_solve(
@@ -293,12 +276,16 @@ def _newton_solve(
     dt: float,
     gamma: float,
     g_expl: np.ndarray,
-    b_expl: np.ndarray,
+    b_expl: np.ndarray | float,
     m_target: float,
 ) -> tuple[np.ndarray, int, float, int, int]:
-    """Solve ``(phi - phi0)/dt + b_expl = lap(-lap phi + psi0'(phi)
-    + (gamma/dt)(phi - phi0) + g_expl)`` and recenter to ``m_target``.
+    """Solve ``(phi - phi0)/dt + b_expl = lap mu`` with ``mu`` the scheme's
+    chemical potential (:func:`_scheme_mu`) and recenter to ``m_target``.
 
+    Stops at the residual target or once the update is below rounding
+    (:data:`_UPDATE_FLOOR`), since on fine grids or long steps the
+    residual's rounding floor, relative to ``|rhs|`` about ``eps dt max
+    eig(lap^2)``, lies above the target.
     Returns ``(phi, iterations, residual, barrier_activations,
     gmres_iterations)``.
     """
@@ -307,13 +294,8 @@ def _newton_solve(
     gd = gamma / dt
 
     def residual(phi: np.ndarray) -> np.ndarray:
-        mu_impl = (
-            -laplacian_raw(spec, phi)
-            + pot.psi0_prime(phi, pparams)
-            + gd * (phi - phi0)
-            + g_expl
-        )
-        return (phi - phi0) / dt + b_expl - laplacian_raw(spec, mu_impl)
+        mu = _scheme_mu(spec, pparams, phi, phi0, gd, g_expl)
+        return (phi - phi0) / dt + b_expl - laplacian_raw(spec, mu)
 
     def norm(r: np.ndarray) -> float:
         return float(np.sqrt(area * inner_raw(r, r)))
@@ -324,11 +306,14 @@ def _newton_solve(
     phi = phi0.copy()
     r = residual(phi)
     res = norm(r)
-    clipped = 0
-    linear = 0
-    for it in range(1, NEWTON_MAX_ITER + 1):
-        if res <= tol:
-            return _recenter(phi, m_target), it - 1, res, clipped, linear
+    it = clipped = linear = 0
+    while not res <= tol:
+        if it == NEWTON_MAX_ITER:
+            raise NewtonError(
+                f"phase-field Newton iteration did not converge: residual {res:.3e} "
+                f"(target {tol:.3e}) after {NEWTON_MAX_ITER} iterations"
+            )
+        it += 1
         d = pot.psi0_second(phi, pparams) + gd
         delta, gmres_iters, gmres_res = _jacobian_solve(spec, d, dt, -r)
         linear += gmres_iters
@@ -338,6 +323,8 @@ def _newton_solve(
                 f"residual {gmres_res:.3e} (target {GMRES_FORCING:.1e}) after "
                 f"{gmres_iters} iterations"
             )
+        if np.max(np.abs(delta)) <= _UPDATE_FLOOR * max(1.0, float(np.max(np.abs(phi)))):
+            break
         s = _barrier_scale(phi, delta) if barrier else 1.0
         if s < 1.0:
             clipped += 1
@@ -352,16 +339,7 @@ def _newton_solve(
                 break
             s *= 0.5
         phi, r, res = phi_try, r_try, res_try
-    if res <= tol:
-        return _recenter(phi, m_target), NEWTON_MAX_ITER, res, clipped, linear
-    raise NewtonError(
-        f"phase-field Newton iteration did not converge: residual {res:.3e} "
-        f"(target {tol:.3e}) after {NEWTON_MAX_ITER} iterations"
-    )
-
-
-def _recenter(phi: np.ndarray, m_target: float) -> np.ndarray:
-    return phi + (m_target - phi.mean())
+    return phi + (m_target - phi.mean()), it, res, clipped, linear
 
 
 def ch_step(
@@ -402,12 +380,7 @@ def ch_step(
         newton_iters=iters, newton_residual=res, linear_iters=linear, clipped_steps=clipped
     )
 
-    mu_new = (
-        -laplacian_raw(spec, phi_new)
-        + pot.psi0_prime(phi_new, p.potential)
-        + (p.gamma / dt) * (phi_new - phi.values)
-        + g_expl
-    )
+    mu_new = _scheme_mu(spec, p.potential, phi_new, phi.values, p.gamma / dt, g_expl)
     return ScalarField(spec, phi_new), ScalarField(spec, mu_new), report
 
 

@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chd import ModelParams, NewtonError, chemical_potential
+from .chd import ModelParams, chemical_potential
 from .coupled import RunConfig, ScenarioConfig, run
 from .diagnostics import (
     LEDGER_FIELDS,
@@ -60,16 +60,9 @@ from .grid import (
     l2_inner,
     laplacian_raw,
 )
-from .hydro import CflError
 from .potential import PotentialDomainError, PotentialParams
 from .state import SimState
-from .stationary import (
-    RateFitError,
-    StationaryError,
-    deficit_norm,
-    rate_fit,
-    solve_stationary,
-)
+from .stationary import RateFitError, deficit_norm, rate_fit, solve_stationary
 
 __all__ = [
     "ConfigError",
@@ -159,10 +152,10 @@ def parse_config(path: str | os.PathLike | None, overrides: list | None = None) 
             raise ConfigError(f"{path}: unknown config section [{parser.default_section}]")
         for sec in parser.sections():
             if sec not in _SCHEMA:
-                raise ConfigError(f"unknown config section [{sec}]")
+                raise ConfigError(f"{path}: unknown config section [{sec}]")
             for key, value in parser.items(sec):
                 if key not in _SCHEMA[sec]:
-                    raise ConfigError(f"unknown key {key!r} in section [{sec}]")
+                    raise ConfigError(f"{path}: unknown key {key!r} in section [{sec}]")
                 given[sec, key] = value
     for item in overrides or []:
         m = re.fullmatch(r"([a-z]+)\.([a-z0-9_]+)=(.*)", item.strip())
@@ -430,6 +423,15 @@ def run_checks(cfg: RunConfig) -> list:
 # subcommands
 
 
+def _check_output_dir(path: str | os.PathLike) -> Path:
+    """``path``, refused unless it or its nearest existing ancestor is a directory."""
+    out_dir = Path(path)
+    existing = next(q for q in (out_dir, *out_dir.parents) if os.path.exists(q))
+    if not os.path.isdir(existing):
+        raise ConfigError(f"{out_dir}: cannot create output directory: {existing} is not a directory")
+    return out_dir
+
+
 def _output_dir(path: str | os.PathLike) -> Path:
     """Create the output directory ``path`` if need be and return it."""
     out_dir = Path(path)
@@ -480,11 +482,12 @@ def _cmd_stationary(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"snapshot grid {state.grid} does not match configured grid {cfg.grid}"
         )
+    out_dir = _check_output_dir(args.out_dir or Path(args.seed_snapshot).parent)
     try:
         eq = solve_stationary(state.phi, state.sigma, cfg.params, cfg.solver)
     except PotentialDomainError as exc:
         raise ConfigError(f"{args.seed_snapshot}: {exc}") from exc
-    out_dir = _output_dir(args.out_dir or Path(args.seed_snapshot).parent)
+    _output_dir(out_dir)
     eq_state = SimState(
         vel=MacVelocity.zeros(cfg.grid),
         phi=eq.phi,
@@ -619,7 +622,7 @@ def main(argv: list | None = None) -> int:
     except RateFitError as exc:
         print(f"rate fit refused: {exc}", file=sys.stderr)
         return 1
-    except (SolverError, NewtonError, StationaryError, CflError) as exc:
+    except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
 

@@ -58,7 +58,7 @@ cg_raw = solve_spd = None
 
 
 class SolverError(RuntimeError):
-    """Linear solve failed or was handed an incompatible right-hand side."""
+    """A solver failed; ``chns`` exits 3 on this and on its subclasses."""
 
 
 @dataclass(frozen=True)

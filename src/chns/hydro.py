@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chd import ModelParams
-from .elliptic import face_helmholtz, neumann_solve
+from .elliptic import SolverError, face_helmholtz, neumann_solve
 from .grid import (
     GridSpec,
     MacVelocity,
@@ -56,7 +56,7 @@ __all__ = [
 cg_raw = None
 
 
-class CflError(RuntimeError):
+class CflError(SolverError):
     """Advective time-step restriction violated."""
 
 

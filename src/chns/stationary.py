@@ -27,11 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import potential as pot
-from .chd import ModelParams, _newton_solve, nonlocal_potential
+from .chd import ModelParams, _newton_solve, _scheme_mu, nonlocal_potential
 from .coupled import INIT_MARGIN
 from .diagnostics import free_energy
-from .elliptic import SolverConfig
-from .grid import ScalarField, grad_norm_sq, inner_raw, integrate, laplacian_raw, mean
+from .elliptic import SolverConfig, SolverError
+from .grid import ScalarField, grad_norm_sq, inner_raw, integrate, mean
 
 __all__ = [
     "Equilibrium",
@@ -48,7 +48,7 @@ MAX_FLOW_ITER = 5000
 RATE_FIT_TAIL = 0.5
 
 
-class StationaryError(RuntimeError):
+class StationaryError(SolverError):
     """Gradient flow failed to reach the requested residual."""
 
 
@@ -126,29 +126,23 @@ def solve_stationary(
     dtau_max = 1.0e3 if p.beta == 0.0 else min(1.0e3, 1.0 / abs(p.beta))
     energy, nphi = _reduced_energy(phi, spec, p)
 
-    def residual_field(phi_arr: np.ndarray, nphi_field) -> np.ndarray:
-        r = -laplacian_raw(spec, phi_arr) + pot.psi_prime(phi_arr, p.potential)
-        r -= p.chi * (p.chi * phi_arr + sigma_const)
-        if p.beta != 0.0:
-            r = r + p.beta * nphi_field.values
-        return r - r.mean()
-
-    res = residual_field(phi, nphi)
-    res_inf = float(np.max(np.abs(res)))
     it = 0
-    while not res_inf <= tol:
+    while True:
+        g_expl = -theta_eff * phi - p.chi * sigma_const
+        if p.beta != 0.0:
+            g_expl = g_expl + p.beta * nphi.values
+        # the scheme's mu at a fixed point (phi0 = phi, gamma = 0), less its mean
+        mu = _scheme_mu(spec, p.potential, phi, phi, 0.0, g_expl)
+        res_inf = float(np.max(np.abs(mu - mu.mean())))
+        if res_inf <= tol:
+            break
         if it >= MAX_FLOW_ITER:
             raise StationaryError(
                 f"stationary residual {res_inf:.3e} above target {tol:.3e} "
                 f"after {MAX_FLOW_ITER} gradient-flow iterations"
             )
         it += 1
-        g_expl = -theta_eff * phi - p.chi * sigma_const
-        if p.beta != 0.0:
-            g_expl = g_expl + p.beta * nphi.values
-        phi_try = _newton_solve(
-            spec, p.potential, phi, dtau, 0.0, g_expl, np.zeros_like(phi), m_target
-        )[0]
+        phi_try = _newton_solve(spec, p.potential, phi, dtau, 0.0, g_expl, 0.0, m_target)[0]
         energy_try, nphi_try = _reduced_energy(phi_try, spec, p)
         if energy_try <= energy + 1.0e-13 * max(1.0, abs(energy)):
             phi, energy, nphi = phi_try, energy_try, nphi_try
@@ -160,9 +154,6 @@ def solve_stationary(
                     "pseudo-step collapsed without reaching the residual target "
                     f"(residual {res_inf:.3e}, target {tol:.3e})"
                 )
-            continue
-        res = residual_field(phi, nphi)
-        res_inf = float(np.max(np.abs(res)))
 
     phi_field = ScalarField(spec, phi)
     sigma_field = ScalarField(spec, p.chi * phi + sigma_const)

@@ -3,6 +3,7 @@ invariant battery of the command-line front end."""
 
 import os
 import platform
+import re
 import struct
 import subprocess
 import sys
@@ -14,8 +15,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import chns
-from chns import chd, cli
-from chns.chd import ModelParams
+from chns import chd, cli, stationary
+from chns.chd import ModelParams, NewtonError
 from chns.cli import (
     _SCHEMA,
     ConfigError,
@@ -30,9 +31,12 @@ from chns.cli import (
 )
 from chns.coupled import RunConfig, ScenarioConfig
 from chns.diagnostics import LEDGER_FIELDS, LedgerRow
+from chns.elliptic import SolverError
 from chns.grid import GridSpec, MacVelocity, ScalarField, laplacian_raw
+from chns.hydro import CflError
 from chns.potential import PotentialParams, psi_prime
 from chns.state import SimState
+from chns.stationary import StationaryError
 
 QUICK = """
 [grid]
@@ -212,13 +216,13 @@ def test_overrides_win_over_file(tmp_path):
 
 def test_unknown_section_rejected(tmp_path):
     path = write_config(tmp_path, "[junk]\nfoo = 1\n")
-    with pytest.raises(ConfigError, match="unknown config section"):
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: unknown config section [junk]")):
         parse_config(path)
 
 
 def test_unknown_key_rejected(tmp_path):
     path = write_config(tmp_path, "[grid]\nnz = 3\n")
-    with pytest.raises(ConfigError, match="unknown key"):
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: unknown key 'nz' in section [grid]")):
         parse_config(path)
 
 
@@ -702,18 +706,44 @@ def test_stationary_non_finite_snapshot_exits_two(tmp_path, capsys, broken):
     assert not (out / "equilibrium.bin").exists()
 
 
-def test_stationary_out_naming_a_file_exits_two(tmp_path, capsys):
+def test_stationary_out_naming_a_file_exits_two(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, QUICK.replace("t_end = 0.1", "t_end = 0.0"))
     seed = tmp_path / "seed"
     assert main(["run", "--config", cfg, "--out", str(seed)]) == 0
-    out = tmp_path / "afile"
-    out.write_text("")
+    afile = tmp_path / "afile"
+    afile.write_text("")
     capsys.readouterr()
+    # the output path is refused before the relaxation starts
+    solves = []
+    monkeypatch.setattr(cli, "solve_stationary", lambda *args: solves.append(args))
     argv = ["stationary", "--config", cfg, "--seed-snapshot", str(seed / "final.bin")]
-    assert main([*argv, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert len(err.strip().splitlines()) == 1
-    assert err.startswith(f"error: {out}: cannot create output directory")
+    for out in (afile, afile / "sub"):
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith(f"error: {out}: cannot create output directory")
+    assert solves == []
+
+
+def test_failed_stationary_solve_exits_three_and_leaves_no_directory(
+    tmp_path, capsys, monkeypatch
+):
+    cfg = write_config(tmp_path, QUICK.replace("t_end = 0.1", "t_end = 0.0"))
+    seed = tmp_path / "seed"
+    assert main(["run", "--config", cfg, "--out", str(seed)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(stationary, "MAX_FLOW_ITER", 0)
+    out = tmp_path / "out"
+    argv = ["stationary", "--config", cfg, "--seed-snapshot", str(seed / "final.bin")]
+    assert main([*argv, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("solver failure: stationary residual")
+    assert not out.exists()
+
+
+def test_solver_failures_share_one_base():
+    # cli.main turns a SolverError, and only that, into exit 3
+    for exc in (NewtonError, StationaryError, CflError):
+        assert issubclass(exc, SolverError)
 
 
 def test_ratefit_needs_three_snapshots(tmp_path, rng, capsys):

@@ -1,11 +1,16 @@
 """Full-step orchestration: step ordering, CFL control, scenarios, run
 semantics, and a dense cross-check of one coupled step."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from conftest import dense_advection_matrix, dense_neumann_laplacian
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chns.chd import ModelParams, chd_step
+from chns.cli import _mass_laws_hold
 from chns.coupled import (
     RunConfig,
     ScenarioConfig,
@@ -15,6 +20,7 @@ from chns.coupled import (
     initial_state,
     run,
 )
+from chns.diagnostics import mass_check
 from chns.grid import GridSpec, MacVelocity, ScalarField, div_raw, mean
 from chns.hydro import ns_step
 from chns.potential import PotentialParams, psi0_prime, psi0_second
@@ -343,6 +349,60 @@ def test_final_partial_step_lands_on_t_end():
     state, rows = run(cfg)
     assert state.t == pytest.approx(0.1, abs=1.0e-12)
     assert state.step == 3
+
+
+@pytest.mark.parametrize("n, dt, steps", [(256, 1.0e-3, 1), (128, 0.02, 4)])
+def test_newton_stops_at_the_rounding_floor(n, dt, steps):
+    # the residual's rounding floor lies above the fixed Newton target on
+    # these grids and steps; Newton stops once its update is below rounding
+    cfg = RunConfig(
+        grid=GridSpec(n, n),
+        params=ModelParams(chi=0.2, alpha=0.5, beta=1.0),
+        dt=dt,
+        t_end=steps * dt,
+        seed=1,
+    )
+    state, rows = run(cfg)
+    assert state.step == steps
+    assert all(r.newton_iters <= 3 for r in rows[1:])
+    assert _mass_laws_hold(mass_check(rows, cfg.params))
+    assert np.all(np.diff([r.total_energy for r in rows]) <= 0.0)
+    assert np.max(np.abs(state.phi.values)) < 1.0
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    n=st.integers(8, 12),
+    seed=st.integers(0, 2**32 - 1),
+    chi=st.floats(0.0, 1.0),
+    alpha=st.floats(0.0, 5.0),
+    beta=st.floats(0.0, 2.0),
+    c0=st.floats(-0.9, 0.9),
+    flow=st.floats(0.0, 0.05),
+    dt=st.floats(1.0e-3, 0.05),
+)
+def test_random_admissible_states_keep_mass_laws_and_phase_bound(
+    n, seed, chi, alpha, beta, c0, flow, dt
+):
+    spec = GridSpec(n, n)
+    p = ModelParams(chi=chi, alpha=alpha, beta=beta, c0=c0)
+    rng = np.random.default_rng(seed)
+    psi = np.zeros((n + 1, n + 1))
+    psi[1:-1, 1:-1] = flow * rng.uniform(-1.0, 1.0, (n - 1, n - 1))
+    state = uniform_state(spec, 0.0, 0.0, p)
+    state.vel = MacVelocity.from_stream(spec, psi)
+    state.phi = ScalarField(spec, 0.9 * rng.uniform(-1.0, 1.0, (n, n)))
+    state.sigma = ScalarField(spec, rng.uniform(-1.0, 1.0, (n, n)))
+
+    def row(s):
+        return SimpleNamespace(t=s.t, mean_phi=mean(s.phi), mean_sigma=mean(s.sigma))
+
+    rows = [row(state)]
+    for _ in range(3):
+        state, _ = coupled_step(state, p, dt)
+        rows.append(row(state))
+        assert np.max(np.abs(state.phi.values)) < 1.0
+    assert _mass_laws_hold(mass_check(rows, p))
 
 
 def test_spinodal_alpha_zero_energy_monotone():
