@@ -51,7 +51,6 @@ from .elliptic import (
     SolverError,
     fluctuation_potential,
     neumann_eigenvalues,
-    neumann_helmholtz,
     neumann_symbol_solve,
 )
 
@@ -141,10 +140,6 @@ class ModelParams:
             raise ValueError(f"violates (H3): c0 must lie in (-1, 1), got {self.c0}")
 
     @property
-    def theta(self) -> float:
-        return self.potential.theta
-
-    @property
     def theta0(self) -> float:
         return self.potential.theta0
 
@@ -175,16 +170,22 @@ def nonlocal_potential(
     return fluctuation_potential(phi), 0
 
 
-def chemical_potential(phi: ScalarField, sigma: ScalarField, p: ModelParams) -> ScalarField:
-    """Assembled chemical potential ``-lap phi + psi'(phi) - chi sigma
-    + beta N(phi - mean phi)`` of the current state (no splitting lag)."""
-    spec = phi.grid
-    out = -laplacian_raw(spec, phi.values) + pot.psi_prime(phi.values, p.potential)
-    if p.chi != 0.0:
-        out = out - p.chi * sigma.values
+def _explicit_lags(phi: ScalarField, sigma: ScalarField, p: ModelParams) -> np.ndarray:
+    """The explicit part ``-theta0 phi - chi sigma + beta N(phi - mean phi)``
+    of the chemical potential, the scheme's ``g_expl``."""
+    g_expl = -p.theta0 * phi.values - p.chi * sigma.values
     if p.beta != 0.0:
-        out = out + p.beta * nonlocal_potential(phi)[0].values
-    return ScalarField(spec, out)
+        g_expl = g_expl + p.beta * nonlocal_potential(phi)[0].values
+    return g_expl
+
+
+def chemical_potential(phi: ScalarField, sigma: ScalarField, p: ModelParams) -> ScalarField:
+    """Chemical potential ``-lap phi + psi'(phi) - chi sigma + beta N(phi -
+    mean phi)`` of the current state: the scheme's ``mu`` with no splitting
+    lag (:func:`_scheme_mu` with ``phi0 = phi`` and ``gd = 0``)."""
+    spec = phi.grid
+    g_expl = _explicit_lags(phi, sigma, p)
+    return ScalarField(spec, _scheme_mu(spec, p.potential, phi.values, phi.values, 0.0, g_expl))
 
 
 def _barrier_scale(phi: np.ndarray, delta: np.ndarray) -> float:
@@ -361,9 +362,7 @@ def ch_step(
         raise ValueError(f"dt must be positive, got {dt}")
     spec = phi.grid
     adv = advect_scalar(vel, phi).values
-    g_expl = -p.theta0 * phi.values - p.chi * sigma.values
-    if p.beta != 0.0:
-        g_expl = g_expl + p.beta * nonlocal_potential(phi)[0].values
+    g_expl = _explicit_lags(phi, sigma, p)
 
     src = 0.0 if source is None else source.values
     src_mean = 0.0 if source is None else float(source.values.mean())
@@ -407,9 +406,9 @@ def sigma_step(
     if source is not None:
         b = b + dt * source.values
 
-    sol = neumann_helmholtz(ScalarField(spec, b), dt)
-    sol.values += b.mean() - sol.values.mean()
-    return sol
+    sol = neumann_symbol_solve(b, 1.0 + dt * neumann_eigenvalues(spec))
+    sol += b.mean() - sol.mean()
+    return ScalarField(spec, sol)
 
 
 def chd_step(

@@ -33,7 +33,7 @@ import ctypes
 import os
 import re
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +48,7 @@ from .diagnostics import (
     mass_check,
     separation,
 )
-from .elliptic import SolverError, inverse_neumann_laplacian
+from .elliptic import SolverError, fluctuation_potential
 from .grid import (
     GridSpec,
     MacVelocity,
@@ -379,12 +379,12 @@ def run_checks(cfg: RunConfig) -> list:
     u0 -= u0.mean()
     rhs_field = ScalarField(spec, -laplacian_raw(spec, u0))
     rhs_field.values -= rhs_field.values.mean()
-    back = inverse_neumann_laplacian(rhs_field)
+    back = fluctuation_potential(rhs_field)
     err = float(np.max(np.abs(back.values - u0))) / max(float(np.max(np.abs(u0))), 1e-300)
     results.append(("inverse-laplacian round trip", err <= ROUND_TRIP_TOL, f"rel err {err:.2e}"))
 
     src = ScalarField(spec, u0.copy())
-    nsrc = inverse_neumann_laplacian(src)
+    nsrc = fluctuation_potential(src)
     err = _rel_err(grad_norm_sq(nsrc), l2_inner(src, nsrc))
     results.append(("dual-norm identity", err <= DUAL_NORM_TOL, f"rel err {err:.2e}"))
 
@@ -443,9 +443,8 @@ def _output_dir(path: str | os.PathLike) -> Path:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = parse_config(args.config, args.overrides)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+    seed = [] if args.seed is None else [f"scenario.seed={args.seed}"]
+    cfg = parse_config(args.config, args.overrides + seed)
     out_dir = _output_dir(args.out_dir or "chns_out")
 
     def record(state: SimState) -> None:

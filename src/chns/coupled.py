@@ -47,9 +47,11 @@ class ScenarioConfig:
     """Initial-data recipe plus its knobs.
 
     ``amplitude`` scales the seeded noise, ``sigma_mean`` sets the
-    conserved solute mean.  ``radius``, ``width`` and ``center`` (as
-    fractions of the box) shape the droplet; ``drift_strength`` scales
-    the prescribed stream function of the drift scenario.
+    conserved solute mean.  The droplet is ``tanh((radius min(lx, ly) -
+    dist) / width)``: ``radius`` is a fraction of the shorter side,
+    ``center_x`` and ``center_y`` are fractions of their sides, and
+    ``width`` is an absolute length.  ``drift_strength`` scales the
+    prescribed stream function of the drift scenario.
     """
 
     name: str = "spinodal"
@@ -101,6 +103,8 @@ class RunConfig:
             raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
         if not (0.0 < self.cfl_safety <= 1.0):
             raise ValueError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.cadence < 0:
             raise ValueError(f"cadence must be >= 0, got {self.cadence}")
 

@@ -25,9 +25,9 @@ Laplacian (``neumann_symbol_solve``, given the function's values on
 symbol once per Krylov solve to precondition its variable-coefficient
 Jacobian.
 
-The Neumann operator annihilates constants, so the inverse works on the
-zero-mean subspace: right-hand sides must be compatible and the solution
-has zero mean.
+The Neumann operator annihilates constants; its inverse ``N``
+(:func:`fluctuation_potential`) drops the constant mode and returns the
+zero-mean solution.  Every cell solve is ``N`` or a symbol solve.
 """
 
 from __future__ import annotations
@@ -45,9 +45,7 @@ __all__ = [
     "SolverError",
     "face_helmholtz",
     "fluctuation_potential",
-    "inverse_neumann_laplacian",
     "neumann_eigenvalues",
-    "neumann_helmholtz",
     "neumann_solve",
     "neumann_symbol_solve",
 ]
@@ -155,23 +153,6 @@ def neumann_symbol_solve(rhs: np.ndarray, symbol: np.ndarray) -> np.ndarray:
     return _solve_diagonal(rhs, _NEUMANN, symbol)
 
 
-def inverse_neumann_laplacian(f: ScalarField) -> ScalarField:
-    """Zero-mean solution ``u`` of ``-lap u = f`` with zero-flux walls.
-
-    The right-hand side must be compatible: its mean may not exceed
-    ``1e-10 * |f|_inf``.  The solve is exact to rounding.
-    """
-    vals = f.values
-    f_inf = float(np.max(np.abs(vals))) if vals.size else 0.0
-    f_mean = float(vals.mean())
-    if abs(f_mean) > 1.0e-10 * max(f_inf, 1.0e-300):
-        raise SolverError(
-            "mean-incompatible right-hand side for the Neumann solve: "
-            f"mean {f_mean:.3e} vs |f|_inf {f_inf:.3e}"
-        )
-    return fluctuation_potential(f)
-
-
 def fluctuation_potential(f: ScalarField) -> ScalarField:
     """``N(f - mean f)``: the zero-mean solution ``u`` of ``-lap u = f -
     mean f`` with zero-flux walls, for any ``f``.
@@ -185,17 +166,7 @@ def fluctuation_potential(f: ScalarField) -> ScalarField:
 
 
 # ``hydro.neumann_solve`` is patched by name in perfbench/tracing.py (WRAPS)
-neumann_solve = inverse_neumann_laplacian
-
-
-def neumann_helmholtz(f: ScalarField, coeff: float) -> ScalarField:
-    """Solution ``u`` of ``u - coeff * lap u = f`` with zero-flux walls.
-
-    ``coeff`` must be nonnegative.  The constant mode passes through
-    unscaled, so ``mean(u) == mean(f)`` up to rounding.
-    """
-    u = neumann_symbol_solve(f.values, 1.0 + coeff * neumann_eigenvalues(f.grid))
-    return ScalarField(f.grid, u)
+neumann_solve = fluctuation_potential
 
 
 def face_helmholtz(

@@ -191,9 +191,6 @@ class MacVelocity:
         v = -(psi[1:, :] - psi[:-1, :]) / grid.hx
         return cls(grid, u, v)
 
-    def copy(self) -> "MacVelocity":
-        return MacVelocity(self.grid, self.u.copy(), self.v.copy())
-
     def max_abs(self) -> float:
         mu = float(np.max(np.abs(self.u))) if self.u.size else 0.0
         mv = float(np.max(np.abs(self.v))) if self.v.size else 0.0

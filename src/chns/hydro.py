@@ -210,8 +210,9 @@ def project(vel_star: MacVelocity, dt: float) -> tuple[MacVelocity, ScalarField,
     zero-mean pressure and a report."""
     spec = vel_star.grid
     d = div_raw(spec, vel_star.u, vel_star.v) / dt
-    # the discrete divergence integrates to zero analytically; drop the
-    # rounding dust so the compatibility check sees a clean mean
+    # the divergence integrates to zero and the solve drops the constant
+    # mode, but the line stays: without it the transform rounds differently
+    # and the spinodal-128 and droplet-64 ledgers move from the first step on
     d -= d.mean()
     q = neumann_solve(ScalarField(spec, -d))
     gu, gv = grad_raw(spec, q.values)

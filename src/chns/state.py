@@ -30,14 +30,3 @@ class SimState:
     @property
     def grid(self) -> GridSpec:
         return self.vel.grid
-
-    def copy(self) -> "SimState":
-        return SimState(
-            self.vel.copy(),
-            self.phi.copy(),
-            self.mu.copy(),
-            self.sigma.copy(),
-            self.pressure.copy(),
-            self.t,
-            self.step,
-        )

@@ -7,11 +7,12 @@ import re
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import chns
@@ -29,7 +30,7 @@ from chns.cli import (
     write_ledger_csv,
     write_snapshot,
 )
-from chns.coupled import RunConfig, ScenarioConfig
+from chns.coupled import RunConfig, ScenarioConfig, initial_state
 from chns.diagnostics import LEDGER_FIELDS, LedgerRow
 from chns.elliptic import SolverError
 from chns.grid import GridSpec, MacVelocity, ScalarField, laplacian_raw
@@ -553,7 +554,14 @@ FUZZ_LINES = st.one_of(
     ).map("".join),
     st.text(max_size=12),
 )
+# schema keys set to small integers or enum names mostly parse, so the
+# initial-state check sees more than the default configuration
+FUZZ_TARGETS = [f"{sec}.{key}" for sec, keys in _SCHEMA.items() for key in keys]
+FUZZ_SETTINGS = st.one_of(
+    st.integers(-3, 200).map(str), st.sampled_from(["0.5", "1e-3", "quartic", "droplet", "drift"])
+)
 FUZZ_OVERRIDES = st.one_of(
+    st.tuples(st.sampled_from(FUZZ_TARGETS), FUZZ_SETTINGS).map("=".join),
     st.tuples(st.sampled_from(FUZZ_SECTIONS), st.sampled_from(FUZZ_KEYS), FUZZ_VALUES).map(
         lambda t: f"{t[0]}.{t[1]}={t[2]}"
     ),
@@ -569,6 +577,7 @@ FUZZ_OVERRIDES = st.one_of(
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(lines=st.lists(FUZZ_LINES, max_size=8), overrides=st.lists(FUZZ_OVERRIDES, max_size=3))
+@example(lines=["[scenario]", "seed = -1"], overrides=[])
 def test_random_config_parses_or_raises_config_error(tmp_path, lines, overrides):
     path = tmp_path / "case.ini"
     # lone surrogates in the text become bytes that are not UTF-8
@@ -578,6 +587,9 @@ def test_random_config_parses_or_raises_config_error(tmp_path, lines, overrides)
     except ConfigError:
         return
     assert isinstance(cfg, RunConfig)
+    # whatever parses also builds its initial state, here on a 4 x 4 grid
+    small = replace(cfg, grid=GridSpec(4, 4, cfg.grid.lx, cfg.grid.ly))
+    assert initial_state(small).grid == small.grid
 
 
 def test_run_out_naming_a_file_exits_two(tmp_path, capsys):
@@ -588,6 +600,25 @@ def test_run_out_naming_a_file_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert err.startswith(f"error: {out}: cannot create output directory")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--seed", "-1"],
+        ["run", "--set", "scenario.seed=-1"],
+        ["check", "--set", "scenario.seed=-1"],
+    ],
+    ids=["run-seed", "run-set", "check-set"],
+)
+def test_negative_seed_exits_two(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    extra = ["--out", str(out)] if argv[0] == "run" else []
+    assert main([*argv, "--config", write_config(tmp_path, QUICK), *extra]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: seed must be >= 0, got -1")
+    assert not out.exists()
 
 
 def test_bad_override_exits_two(capsys):

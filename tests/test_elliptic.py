@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from chns.chd import _preconditioner_symbol
 from chns.elliptic import (
     SolverConfig,
-    SolverError,
     face_helmholtz,
     fluctuation_potential,
-    inverse_neumann_laplacian,
-    neumann_helmholtz,
+    neumann_eigenvalues,
     neumann_symbol_solve,
 )
 from chns.grid import (
@@ -70,7 +68,7 @@ def test_neumann_solve_matches_dense_oracle(spec, rng):
     # pin the constant kernel with an extra mean-zero row
     aug = np.vstack([-dense_neumann_laplacian(spec), np.ones((1, n))])
     want, *_ = np.linalg.lstsq(aug, np.append(f.values.reshape(-1), 0.0), rcond=None)
-    got = inverse_neumann_laplacian(f).values.reshape(-1)
+    got = fluctuation_potential(f).values.reshape(-1)
     assert rel_err(got, want) <= 1.0e-12
     assert abs(got.mean()) <= 1.0e-15 * np.max(np.abs(want))
 
@@ -81,7 +79,7 @@ def test_neumann_helmholtz_matches_dense_oracle(spec, rng):
     coeff = 0.3 * spec.hx * spec.hy  # balances identity and Laplacian
     mat = np.eye(spec.nx * spec.ny) - coeff * dense_neumann_laplacian(spec)
     want = np.linalg.solve(mat, f.values.reshape(-1))
-    got = neumann_helmholtz(f, coeff).values.reshape(-1)
+    got = neumann_symbol_solve(f.values, 1.0 + coeff * neumann_eigenvalues(spec)).reshape(-1)
     assert rel_err(got, want) <= 1.0e-12
     assert got.mean() == pytest.approx(f.values.mean(), abs=1.0e-14)
 
@@ -143,7 +141,7 @@ def test_neumann_helmholtz_property(spec, seed, scale):
     coeff = scale * spec.hx * spec.hy
     mat = np.eye(spec.nx * spec.ny) - coeff * dense_neumann_laplacian(spec)
     want = np.linalg.solve(mat, f.reshape(-1))
-    got = neumann_helmholtz(ScalarField(spec, f), coeff).values.reshape(-1)
+    got = neumann_symbol_solve(f, 1.0 + coeff * neumann_eigenvalues(spec)).reshape(-1)
     assert rel_err(got, want) <= 1.0e-12
 
 
@@ -181,7 +179,7 @@ def test_jacobian_preconditioner_property(spec, seed, dt_scale, d_scale):
 
 def test_zero_input():
     spec = GridSpec(8, 8)
-    out = inverse_neumann_laplacian(ScalarField.zeros(spec))
+    out = fluctuation_potential(ScalarField.zeros(spec))
     assert np.all(out.values == 0.0)
     assert l2_inner(ScalarField.zeros(spec), out) == 0.0
 
@@ -194,7 +192,7 @@ def test_cosine_mode_inverse():
     mode = np.cos(np.pi * x)[:, None] * np.ones((1, spec.ny))
     lam = 2.0 * (1.0 - np.cos(np.pi / spec.nx)) / spec.hx**2
     f = ScalarField(spec, mode)
-    u = inverse_neumann_laplacian(f)
+    u = fluctuation_potential(f)
     assert np.max(np.abs(u.values - mode / lam)) <= 1.0e-10 / lam
     # and the continuum factor (lx / pi)^2 is approached at O(h^2)
     assert lam == pytest.approx((np.pi / spec.lx) ** 2, rel=5.0e-3)
@@ -205,7 +203,7 @@ def test_round_trip(rng):
     u = zero_mean_field(spec, rng)
     f = ScalarField(spec, -laplacian_raw(spec, u.values))
     f.values -= f.values.mean()  # rounding dust
-    back = inverse_neumann_laplacian(f)
+    back = fluctuation_potential(f)
     assert np.max(np.abs(back.values - u.values)) <= 1.0e-8 * np.max(np.abs(u.values))
     assert abs(back.values.mean()) <= 1.0e-14
 
@@ -213,7 +211,7 @@ def test_round_trip(rng):
 def test_inverse_property_forward(rng):
     spec = GridSpec(10, 10)
     f = zero_mean_field(spec, rng)
-    u = inverse_neumann_laplacian(f)
+    u = fluctuation_potential(f)
     res = -laplacian_raw(spec, u.values) - f.values
     assert np.max(np.abs(res)) <= 1.0e-9 * np.max(np.abs(f.values))
 
@@ -222,8 +220,8 @@ def test_dual_norm_identities(rng):
     spec = GridSpec(9, 12, 0.9, 1.4)
     f = zero_mean_field(spec, rng)
     g = zero_mean_field(spec, rng)
-    nf = inverse_neumann_laplacian(f)
-    ng = inverse_neumann_laplacian(g)
+    nf = fluctuation_potential(f)
+    ng = fluctuation_potential(g)
     # |grad N f|^2 = (f, N f)
     assert grad_norm_sq(nf) == pytest.approx(l2_inner(f, nf), rel=1.0e-10)
     # self-adjointness and positivity
@@ -231,14 +229,8 @@ def test_dual_norm_identities(rng):
     assert l2_inner(f, nf) > 0.0
     # quadratic scaling
     f2 = ScalarField(spec, 2.0 * f.values)
-    dual_sq = l2_inner(f2, inverse_neumann_laplacian(f2))
+    dual_sq = l2_inner(f2, fluctuation_potential(f2))
     assert dual_sq == pytest.approx(4.0 * l2_inner(f, nf), rel=1.0e-12)
-
-
-def test_mean_incompatible_rhs_rejected():
-    spec = GridSpec(8, 8)
-    with pytest.raises(SolverError, match="mean-incompatible"):
-        inverse_neumann_laplacian(ScalarField.full(spec, 1.0))
 
 
 def test_dense_against_numpy_direct(rng):
@@ -254,7 +246,7 @@ def test_dense_against_numpy_direct(rng):
         basis.reshape(-1)[j] = 0.0
     aug = np.vstack([mat, np.ones((1, n))])
     want, *_ = np.linalg.lstsq(aug, np.append(f.values.reshape(-1), 0.0), rcond=None)
-    got = inverse_neumann_laplacian(f).values.reshape(-1)
+    got = fluctuation_potential(f).values.reshape(-1)
     assert np.max(np.abs(got - want)) <= 1.0e-9
 
 

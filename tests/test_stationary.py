@@ -1,11 +1,13 @@
 """Equilibrium solves and the algebraic decay-rate fit."""
 
+import re
+
 import numpy as np
 import pytest
 
 from chns import stationary
 from chns.chd import ModelParams, nonlocal_potential
-from chns.coupled import RunConfig, run
+from chns.coupled import RunConfig, initial_state, run
 from chns.diagnostics import free_energy
 from chns.elliptic import SolverConfig
 from chns.grid import GridSpec, ScalarField, laplacian_raw, mean
@@ -112,6 +114,38 @@ def test_pseudo_steps_stop_at_the_newton_rounding_floor():
     assert eq.residual_inf <= cfg.solver.rel_tol * cfg.params.theta0
     assert eq.mean_phi == pytest.approx(0.0, abs=1.0e-12)
     assert np.max(np.abs(eq.phi.values)) < 1.0
+
+
+def test_frozen_gradient_flow_fails_fast():
+    # a target below what the inner Newton tolerance resolves: at the
+    # largest pseudo-step Newton takes no iteration and the iterate is
+    # frozen, which used to idle for MAX_FLOW_ITER pseudo-steps
+    for beta in (1.0, 0.0):
+        cfg = RunConfig(
+            grid=GridSpec(16, 16), params=ModelParams(chi=0.2, alpha=0.5, beta=beta), seed=1
+        )
+        state = initial_state(cfg)
+        with pytest.raises(StationaryError, match="froze") as err:
+            solve_stationary(state.phi, state.sigma, cfg.params, SolverConfig(rel_tol=1.0e-14))
+        step = int(re.search(r"pseudo-step (\d+):", str(err.value)).group(1))
+        assert step < 50
+        assert "target 2.000e-14" in str(err.value)
+
+
+def test_reduced_energy_is_the_free_energy_on_the_locked_solute():
+    # sigma = chi phi + c turns the solute terms into -chi^2 phi^2 / 2
+    # plus the constant c^2 |Omega| / 2
+    spec = GridSpec(12, 7, 1.3, 0.6)
+    p = ModelParams(
+        chi=0.7, beta=0.8, potential=PotentialParams("logarithmic", theta=1.0, theta0=2.0)
+    )
+    phi = cosine_seed(spec, 0.1, 0.6)
+    c = 0.35
+    sigma = ScalarField(spec, p.chi * phi.values + c)
+    want = free_energy(phi, sigma, p) - 0.5 * c**2 * spec.lx * spec.ly
+    got, nphi = stationary._reduced_energy(phi.values, spec, p)
+    assert got == pytest.approx(want, rel=1.0e-12)
+    assert np.array_equal(nphi.values, nonlocal_potential(phi)[0].values)
 
 
 def test_stationary_non_convergence_reports(monkeypatch):
