@@ -22,7 +22,7 @@ import numpy as np
 
 from .chd import ChdStepReport, ModelParams, chd_step, chemical_potential
 from .diagnostics import LedgerRow, ledger_row
-from .elliptic import SolverConfig
+from .elliptic import SolverConfig, SolverError
 from .grid import GridSpec, MacVelocity, ScalarField, check_finite
 from .hydro import ns_step
 from .state import SimState
@@ -207,7 +207,9 @@ def run(cfg: RunConfig, on_record=None) -> tuple[SimState, list]:
     Deterministic for a fixed configuration and seed.  Returns the final
     state and the per-step ledger; ``on_record(state)`` fires for the
     initial state and then every ``cadence``-th step plus the final one,
-    which is where snapshot writers hook in.
+    which is where snapshot writers hook in.  A :class:`SolverError` from
+    a step is raised again as the same class, its message ending in
+    ``(step N, t = T)``: the failed step and the time it started from.
     """
     state = initial_state(cfg)
     rows: list[LedgerRow] = [ledger_row(state, cfg.params)]
@@ -218,7 +220,10 @@ def run(cfg: RunConfig, on_record=None) -> tuple[SimState, list]:
     while state.t < cfg.t_end - 1.0e-12 * max(cfg.t_end, 1.0):
         dt = cfl_dt(state.vel, cfg.dt, cfg.cfl_safety)
         dt = min(dt, cfg.t_end - state.t)
-        state, report = step(state, cfg.params, dt)
+        try:
+            state, report = step(state, cfg.params, dt)
+        except SolverError as exc:
+            raise type(exc)(f"{exc} (step {state.step + 1}, t = {state.t!r})") from exc
         rows.append(ledger_row(state, cfg.params, prev=rows[-1], dt=dt, report=report))
         final = state.t >= cfg.t_end - 1.0e-12 * max(cfg.t_end, 1.0)
         periodic = cfg.cadence > 0 and state.step % cfg.cadence == 0

@@ -174,11 +174,13 @@ def face_helmholtz(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Component Helmholtz solves ``w - coeff * lap w = rhs`` on the MAC faces.
 
-    The Laplacian is the no-slip component operator of
-    :func:`chns.hydro._lap_u` / ``_lap_v``: boundary-normal faces are
-    pinned to zero (their right-hand side entries are ignored) and
-    tangential walls use antisymmetric ghosts.  ``coeff`` must be
-    nonnegative.
+    ``lap`` is the five-point no-slip component Laplacian on each face
+    set.  The boundary-normal faces (``u`` at ``x = 0, lx``, ``v`` at
+    ``y = 0, ly``) are pinned to zero: they enter their neighbours'
+    stencils as zeros, their right-hand side entries are ignored and
+    they are returned as zeros.  Across a tangential wall the ghost is
+    antisymmetric, ``w_ghost = -w``, so the velocity vanishes on the wall
+    itself.  ``coeff`` must be nonnegative.
     """
     u = np.zeros((spec.nx + 1, spec.ny))
     v = np.zeros((spec.nx, spec.ny + 1))

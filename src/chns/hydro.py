@@ -10,13 +10,18 @@ the staggered grid of :mod:`chns.grid`:
   the four adjacent cells, clamped at walls),
 * no-slip via pinned normal faces plus antisymmetric tangential ghosts.
 
-Time stepping treats the constant floor ``min(nu1, nu2)`` of the
-viscosity implicitly (one Helmholtz solve per component, an exact
-sine-transform solve) and the remainder of the stress explicitly.  A
-non-incremental pressure projection then enforces the discrete
-divergence constraint to rounding: ``lap q = div(v*) / dt``, solved
-exactly by a cosine transform, ``v = v* - dt grad q``, with ``q``
-returned as the (zero-mean) pressure.
+Time stepping treats the constant floor ``nu_f = min(nu1, nu2)`` of the
+viscosity implicitly and the remainder of the stress explicitly:
+``(I - dt nu_f L) v* = v + dt (F - nu_f L v)``, with ``L`` the no-slip
+component Laplacian and ``F = -div(v (x) v) + div(2 nu D v) + force`` the
+explicit terms.  Subtracting ``(I - dt nu_f L) v`` from both sides leaves
+``(I - dt nu_f L)(v* - v) = dt F``, so the predictor is solved for its
+increment, ``v* = v + dt (I - dt nu_f L)^{-1} F``: one exact
+sine-transform Helmholtz solve per component, and no explicit
+application of ``L``.  A non-incremental pressure projection then
+enforces the discrete divergence constraint to rounding: ``lap q =
+div(v*) / dt``, solved exactly by a cosine transform, ``v = v* - dt grad
+q``, with ``q`` returned as the (zero-mean) pressure.
 
 ``dissipation_quadrature`` evaluates ``int 2 nu |D v|^2`` with corner
 weights halved along the walls, which makes it the exact negative of
@@ -184,36 +189,12 @@ def korteweg_force(
     return MacVelocity(spec, gu, gv)
 
 
-def _lap_u(spec: GridSpec, u: np.ndarray) -> np.ndarray:
-    """Component Laplacian on u-faces: stored zeros at normal walls,
-    antisymmetric ghosts across tangential walls."""
-    out = np.zeros_like(u)
-    out[1:-1, :] = (u[2:, :] - 2.0 * u[1:-1, :] + u[:-2, :]) / spec.hx**2
-    out[1:-1, 1:-1] += (u[1:-1, 2:] - 2.0 * u[1:-1, 1:-1] + u[1:-1, :-2]) / spec.hy**2
-    out[1:-1, 0] += (u[1:-1, 1] - 3.0 * u[1:-1, 0]) / spec.hy**2
-    out[1:-1, -1] += (u[1:-1, -2] - 3.0 * u[1:-1, -1]) / spec.hy**2
-    return out
-
-
-def _lap_v(spec: GridSpec, v: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(v)
-    out[:, 1:-1] = (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / spec.hy**2
-    out[1:-1, 1:-1] += (v[2:, 1:-1] - 2.0 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / spec.hx**2
-    out[0, 1:-1] += (v[1, 1:-1] - 3.0 * v[0, 1:-1]) / spec.hx**2
-    out[-1, 1:-1] += (v[-2, 1:-1] - 3.0 * v[-1, 1:-1]) / spec.hx**2
-    return out
-
-
 def project(vel_star: MacVelocity, dt: float) -> tuple[MacVelocity, ScalarField, ProjectionReport]:
     """Remove the divergence of ``vel_star``: solve ``lap q = div(v*)/dt``
     and subtract ``dt grad q``.  Returns the corrected field, the
     zero-mean pressure and a report."""
     spec = vel_star.grid
     d = div_raw(spec, vel_star.u, vel_star.v) / dt
-    # the divergence integrates to zero and the solve drops the constant
-    # mode, but the line stays: without it the transform rounds differently
-    # and the spinodal-128 and droplet-64 ledgers move from the first step on
-    d -= d.mean()
     q = neumann_solve(ScalarField(spec, -d))
     gu, gv = grad_raw(spec, q.values)
     vel = MacVelocity(spec, vel_star.u - dt * gu, vel_star.v - dt * gv)
@@ -249,12 +230,8 @@ def ns_step(
     visc = viscous_stress_div(vel, nu)
     force = korteweg_force(phi, mu, sigma, p)
 
-    rhs_u = vel.u + dt * (
-        -adv_u + visc.u - nu_floor * _lap_u(spec, vel.u) + force.u
+    # the predictor's increment: (I - dt nu_floor lap)(v* - v) = dt F
+    acc_u, acc_v = face_helmholtz(
+        spec, -adv_u + visc.u + force.u, -adv_v + visc.v + force.v, dt * nu_floor
     )
-    rhs_v = vel.v + dt * (
-        -adv_v + visc.v - nu_floor * _lap_v(spec, vel.v) + force.v
-    )
-
-    u_star, v_star = face_helmholtz(spec, rhs_u, rhs_v, dt * nu_floor)
-    return project(MacVelocity(spec, u_star, v_star), dt)
+    return project(MacVelocity(spec, vel.u + dt * acc_u, vel.v + dt * acc_v), dt)

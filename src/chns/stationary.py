@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import potential as pot
-from .chd import ModelParams, _newton_solve, _scheme_mu, nonlocal_potential
+from .chd import ModelParams, NewtonError, _newton_solve, _scheme_mu, nonlocal_potential
 from .coupled import INIT_MARGIN
 from .diagnostics import free_energy
 from .elliptic import SolverConfig, SolverError
@@ -102,7 +102,9 @@ def solve_stationary(
     ``lam`` that keeps every cell ``min(INIT_MARGIN, (1 - |m|)/2)`` inside
     the interval.  Iterates until the zero-mean equilibrium residual has
     max norm at most ``cfg.rel_tol * theta0``, for at most
-    :data:`MAX_FLOW_ITER` iterations.  Raises
+    :data:`MAX_FLOW_ITER` iterations.  A :class:`~chns.chd.NewtonError`
+    from a pseudo-step is raised again with ``(pseudo-step N, dtau = X)``
+    appended to its message.  Raises
     :class:`~chns.potential.PotentialDomainError` when the pinned mean
     itself lies outside the logarithmic potential's interval.
     """
@@ -145,7 +147,12 @@ def solve_stationary(
                 f"after {MAX_FLOW_ITER} gradient-flow iterations"
             )
         it += 1
-        phi_try, iters = _newton_solve(spec, p.potential, phi, dtau, 0.0, g_expl, 0.0, m_target)[:2]
+        try:
+            phi_try, iters = _newton_solve(
+                spec, p.potential, phi, dtau, 0.0, g_expl, 0.0, m_target
+            )[:2]
+        except NewtonError as exc:
+            raise NewtonError(f"{exc} (pseudo-step {it}, dtau = {dtau:g})") from exc
         if iters == 0 and dtau == dtau_max:
             # Newton meets its own target at the longest pseudo-step: no step moves
             raise StationaryError(

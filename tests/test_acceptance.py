@@ -7,13 +7,14 @@ barrier-safeguard activations; the other criteria reuse the same rows.
 """
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import manufactured_errors, manufactured_march
 
 from chns.chd import ModelParams, chd_step, chemical_potential
-from chns.cli import main, read_snapshot, write_snapshot
+from chns.cli import main, parse_config, read_ledger_csv, read_snapshot, write_snapshot
 from chns.coupled import (
     RunConfig,
     ScenarioConfig,
@@ -325,5 +326,31 @@ def test_criterion_9_determinism_and_io(tmp_path):
         "determinism and io",
         ok,
         f"csv byte-identical {csv_same}, snapshot round trip bit-exact {snap_same}",
+    )
+    assert ok
+
+
+def test_separating_droplet_stays_separated_under_flow(tmp_path):
+    # the README's phase-separating config, the regime the paper studies:
+    # a droplet of width 1 on a 20 x 20 box keeps its interface, and the
+    # capillary force drives a real flow on the way there
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cfg = tmp_path / "case.ini"
+    cfg.write_text(readme.split("```ini\n")[2].split("```", 1)[0])
+    parsed = parse_config(cfg)
+    assert parsed.grid == GridSpec(64, 64, 20.0, 20.0)
+    assert (parsed.scenario.name, parsed.scenario.width) == ("droplet", 1.0)
+    assert (parsed.params.chi, parsed.params.alpha, parsed.params.beta) == (0.2, 0.5, 0.0)
+    assert (parsed.dt, parsed.t_end) == (0.05, 20.0)
+
+    # exit 0: the mass laws and the phase bound held at every step
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    rows = read_ledger_csv(tmp_path / "out" / "ledger.csv")
+    margin = rows[-1].sep_delta
+    peak_kinetic = max(row.kinetic for row in rows)
+    ok = code == 0 and 0.0 < margin < 0.1 and peak_kinetic > 1.0e-3
+    print(
+        f"separating droplet: exit {code}, final margin {margin:.4e}, "
+        f"peak kinetic {peak_kinetic:.4e}"
     )
     assert ok

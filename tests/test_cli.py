@@ -668,6 +668,7 @@ def test_krylov_failure_exits_three(tmp_path, capsys, monkeypatch):
     assert err.count("\n") == 1 and "Traceback" not in err
     assert "solver failure: GMRES did not converge in Newton iteration 1" in err
     assert "after 1 iterations" in err
+    assert err.endswith(" (step 1, t = 0.0)\n")
 
 
 # stationary and ratefit commands
@@ -681,14 +682,16 @@ def test_stationary_grid_mismatch_exits_two(tmp_path, rng, capsys):
     assert "does not match" in capsys.readouterr().err
 
 
+# a 16^2 droplet seed whose phase mean lies far from c0 = 0
+DROPLET_SEED = QUICK.replace("t_end = 0.1", "t_end = 0.0") + (
+    "\n[params]\nchi = 0.2\nalpha = 0.5\nbeta = 0.0\n\n[scenario]\nname = droplet\n"
+)
+
+
 def test_stationary_contracts_droplet_seed_onto_c0(tmp_path, capsys):
     # the droplet's phase mean is about -0.59; shifting it to c0 = 0 would
     # push the bulk phase past +1, so the seed's fluctuation is contracted
-    cfg = write_config(
-        tmp_path,
-        QUICK.replace("t_end = 0.1", "t_end = 0.0")
-        + "\n[params]\nchi = 0.2\nalpha = 0.5\nbeta = 0.0\n\n[scenario]\nname = droplet\n",
-    )
+    cfg = write_config(tmp_path, DROPLET_SEED)
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     code = main(["stationary", "--config", cfg, "--seed-snapshot", str(out / "final.bin")])
@@ -702,6 +705,21 @@ def test_stationary_contracts_droplet_seed_onto_c0(tmp_path, capsys):
     assert np.max(np.abs(phi)) < 1.0
     r = -laplacian_raw(eq.grid, phi) + psi_prime(phi, p.potential) - p.chi * eq.sigma.values
     assert np.max(np.abs(r - r.mean())) <= run_cfg.solver.rel_tol * p.theta0
+
+
+def test_stationary_krylov_failure_names_the_pseudo_step(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, DROPLET_SEED)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(chd, "GMRES_MAX_ITER", 1)
+    code = main(["stationary", "--config", cfg, "--seed-snapshot", str(out / "final.bin")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("solver failure: GMRES did not converge in Newton iteration 1")
+    assert err.endswith(" (pseudo-step 1, dtau = 0.1)\n")
+    assert not (out / "equilibrium.bin").exists()
 
 
 def test_stationary_seed_mean_outside_phase_interval_exits_two(tmp_path, rng, capsys):

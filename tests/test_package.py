@@ -1,18 +1,21 @@
 """Package-level contracts: no dead imports in ``src/chns`` or ``tests``, no
 unread parameters in ``src/chns``, no ``scipy.sparse`` in a run, and the
-names the benchmark harness in ``perfbench/`` looks up on the package."""
+names the benchmark harness in ``perfbench/`` looks up on the package and
+counts its steps by."""
 
 import ast
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import chns
+from chns import coupled, stationary
 from chns.chd import nonlocal_potential
-from chns.cli import parse_config
+from chns.cli import main, parse_config
 from chns.grid import GridSpec, ScalarField
 
 PACKAGE_DIR = Path(chns.__file__).resolve().parent
@@ -166,3 +169,37 @@ def test_benchmark_import_contract():
     phi = ScalarField(spec, spec.cell_centers()[0])
     assert isinstance(nonlocal_potential(phi, solver)[0], ScalarField)
     assert solver.rel_tol > 0.0
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` with a call counter, the way the benchmark's
+    step clocks do (perfbench/child.py), and return the count's list."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_benchmark_step_clocks_see_every_step(tmp_path, monkeypatch, capsys):
+    # the benchmark counts one step per coupled_step call and one
+    # pseudo-step per _newton_solve call, each looked up on its module; a
+    # run that bypassed either name would read 0 steps per second
+    steps = count_calls(monkeypatch, coupled, "coupled_step")
+    newton = count_calls(monkeypatch, stationary, "_newton_solve")
+    grid = ["--set", "grid.nx=16", "--set", "grid.ny=16", "--set", "time.dt=0.02"]
+    out = tmp_path / "out"
+    assert main(["run", *grid, "--set", "time.t_end=0.1", "--out", str(out)]) == 0
+    assert len(steps) == 5
+
+    seed = tmp_path / "seed"
+    assert main(["run", *grid, "--set", "time.t_end=0.0", "--out", str(seed)]) == 0
+    capsys.readouterr()
+    argv = ["stationary", *grid, "--seed-snapshot", str(seed / "final.bin")]
+    assert main(argv) == 0
+    iterations = int(re.search(r"after (\d+) iterations", capsys.readouterr().out)[1])
+    assert iterations > 0 and len(newton) == iterations
