@@ -30,13 +30,18 @@ preconditioned vector ``z = P^-1 v`` it is ``J z = v - lap((d - mean d)
 z)``: one Laplacian per Krylov iteration instead of two.  GMRES keeps
 the preconditioned basis vectors, as flexible GMRES does (Saad, SIAM J.
 Sci. Comput. 14, 1993), so each iteration costs one preconditioner solve
-and forming the update costs none.  Each Krylov solve stops once its true
-residual is a fixed fraction of the Newton residual (an inexact-Newton
-forcing term; Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996).  For
-the logarithmic potential a barrier safeguard rescales any update so
-that no cell moves more than 90 percent of its remaining distance to
-``+-1``, which keeps every iterate strictly inside the physical
-interval.
+and forming the update costs none.  It also keeps the products ``J z``,
+so the closing residual ``J x - b`` of ``x = sum_j y_j z_j`` is ``sum_j
+y_j (J z_j) - b``, without applying ``J`` again.  Each Krylov solve stops
+once that residual is a fixed fraction of the Newton residual (an
+inexact-Newton forcing term; Eisenstat & Walker, SIAM J. Sci. Comput. 17,
+1996).  Newton stops at its residual target, once its update is below
+rounding, or one update earlier when a contraction estimate (Deuflhard,
+Newton Methods for Nonlinear Problems, Springer 2004) shows that the next
+update would be below rounding.  For the logarithmic potential a barrier
+safeguard rescales any update so that no cell moves more than 90 percent
+of its remaining distance to ``+-1``, which keeps every iterate strictly
+inside the physical interval.
 """
 
 from __future__ import annotations
@@ -80,7 +85,7 @@ __all__ = [
 NEWTON_TOL_FACTOR = 1.0e-9
 NEWTON_MAX_ITER = 50
 BARRIER_MARGIN = 0.9
-# inexact-Newton forcing term: each Krylov solve reduces the true linear
+# inexact-Newton forcing term: each Krylov solve reduces the linear
 # residual to this fraction of the Newton residual.  It sits well above
 # the rounding floor of the Jacobian action, near eps * max eig(lap^2) * dt
 # (about 4e-9 at 128^2 with dt = 1e-3), and leaves the Newton iteration
@@ -211,15 +216,22 @@ def _jacobian_solve(
 ) -> tuple[np.ndarray, int, float]:
     """Solve the Newton system ``J x = x/dt + lap(lap x - d x) = b`` by the
     module docstring's flexible preconditioned GMRES (modified Gram-Schmidt,
-    Givens rotations, no restart) until the true residual is at most
+    Givens rotations, no restart) until the residual is at most
     :data:`GMRES_FORCING` ``|b|``, for at most :data:`GMRES_MAX_ITER`
     iterations.  Returns ``(x, iterations, relative residual)``.
+
+    Once the Givens estimate meets the target, the residual is summed from
+    the stored products ``J z_j = v_j - lap((d - mean d) z_j)``, taken
+    before Gram-Schmidt.  It differs from ``J x - b`` recomputed from ``x``
+    only by ``J`` applied to the rounding of the preconditioner solves,
+    about ``eps max(symbol) |z|``: at ``dt = 1e-3`` below ``1e-12 |b|``.
     """
     symbol = _preconditioner_symbol(spec, d, dt)
     d_dev = d - float(d.mean())
     b_norm = np.sqrt(inner_raw(b, b))
     basis = [b / b_norm]
     preconditioned = []
+    products = []
     hess = np.zeros((GMRES_MAX_ITER + 1, GMRES_MAX_ITER))
     cs = np.zeros(GMRES_MAX_ITER)
     sn = np.zeros(GMRES_MAX_ITER)
@@ -229,7 +241,9 @@ def _jacobian_solve(
     while True:
         z = neumann_symbol_solve(basis[k], symbol)
         preconditioned.append(z)
-        w = basis[k] - laplacian_raw(spec, d_dev * z)
+        jz = basis[k] - laplacian_raw(spec, d_dev * z)
+        products.append(jz)
+        w = jz.copy()
         for i, v in enumerate(basis):
             hess[i, k] = inner_raw(w, v)
             w -= hess[i, k] * v
@@ -248,9 +262,11 @@ def _jacobian_solve(
             for i in range(k - 1, -1, -1):
                 y[i] = (g[i] - inner_raw(hess[i, i + 1 : k], y[i + 1 :])) / hess[i, i]
             x = y[0] * preconditioned[0]
-            for yi, z in zip(y[1:], preconditioned[1:]):
+            r = y[0] * products[0]
+            for yi, z, jz in zip(y[1:], preconditioned[1:], products[1:]):
                 x += yi * z
-            r = x / dt + laplacian_raw(spec, laplacian_raw(spec, x) - d * x) - b
+                r += yi * jz
+            r -= b
             rel = float(np.sqrt(inner_raw(r, r)) / b_norm)
             if rel <= GMRES_FORCING or k == GMRES_MAX_ITER:
                 return x, k, rel
@@ -286,7 +302,13 @@ def _newton_solve(
     Stops at the residual target or once the update is below rounding
     (:data:`_UPDATE_FLOOR`), since on fine grids or long steps the
     residual's rounding floor, relative to ``|rhs|`` about ``eps dt max
-    eig(lap^2)``, lies above the target.
+    eig(lap^2)``, lies above the target.  It also stops after an update
+    once the next one is sure to be below rounding: when two updates in a
+    row were taken undamped and their size ratio ``theta = max|delta_k| /
+    max|delta_{k-1}|`` is below 1/2, the error left after ``delta_k`` is at
+    most ``theta / (1 - theta) max|delta_k|`` (Deuflhard, Newton Methods
+    for Nonlinear Problems, Springer 2004), and a bound below the rounding
+    floor saves the Krylov solve that would only find that out.
     Returns ``(phi, iterations, residual, barrier_activations,
     gmres_iterations)``.
     """
@@ -308,6 +330,7 @@ def _newton_solve(
     r = residual(phi)
     res = norm(r)
     it = clipped = linear = 0
+    prev_step = None  # max|delta| of the previous update if it was taken undamped
     while not res <= tol:
         if it == NEWTON_MAX_ITER:
             raise NewtonError(
@@ -324,7 +347,9 @@ def _newton_solve(
                 f"residual {gmres_res:.3e} (target {GMRES_FORCING:.1e}) after "
                 f"{gmres_iters} iterations"
             )
-        if np.max(np.abs(delta)) <= _UPDATE_FLOOR * max(1.0, float(np.max(np.abs(phi)))):
+        step = float(np.max(np.abs(delta)))
+        floor = _UPDATE_FLOOR * max(1.0, float(np.max(np.abs(phi))))
+        if step <= floor:
             break
         s = _barrier_scale(phi, delta) if barrier else 1.0
         if s < 1.0:
@@ -340,6 +365,10 @@ def _newton_solve(
                 break
             s *= 0.5
         phi, r, res = phi_try, r_try, res_try
+        theta = step / prev_step if prev_step else 1.0
+        if s == 1.0 and theta < 0.5 and theta / (1.0 - theta) * step <= floor:
+            break
+        prev_step = step if s == 1.0 else None
     return phi + (m_target - phi.mean()), it, res, clipped, linear
 
 

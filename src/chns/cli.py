@@ -132,16 +132,17 @@ _SCHEMA = {
 }
 
 #: GridSpec has no default size; the CLI runs 64 x 64 unless told otherwise
-_GRID_DEFAULT = {"nx": "64", "ny": "64"}
+_GRID_DEFAULT = {"nx": 64, "ny": 64}
 
 
 def parse_config(path: str | os.PathLike | None, overrides: list | None = None) -> RunConfig:
     """Read a config file (optional) and apply dotted overrides.
 
     Overrides take the form ``section.key=value``.  Unknown sections or
-    keys raise :class:`ConfigError`, as do values the model rejects.
+    keys raise :class:`ConfigError`, as do values the model rejects; such a
+    message names the rejected keys, and the file for a key set there.
     """
-    given = {("grid", key): value for key, value in _GRID_DEFAULT.items()}
+    given = {}  # (section, key) -> (label naming the key and its file, raw text)
     if path is not None:
         parser = configparser.ConfigParser(strict=True, interpolation=None)
         try:
@@ -156,7 +157,7 @@ def parse_config(path: str | os.PathLike | None, overrides: list | None = None) 
             for key, value in parser.items(sec):
                 if key not in _SCHEMA[sec]:
                     raise ConfigError(f"{path}: unknown key {key!r} in section [{sec}]")
-                given[sec, key] = value
+                given[sec, key] = (f"{path}: {sec}.{key}", value)
     for item in overrides or []:
         m = re.fullmatch(r"([a-z]+)\.([a-z0-9_]+)=(.*)", item.strip())
         if not m:
@@ -164,7 +165,7 @@ def parse_config(path: str | os.PathLike | None, overrides: list | None = None) 
         sec, key, value = m.group(1), m.group(2), m.group(3)
         if key not in _SCHEMA.get(sec, ()):
             raise ConfigError(f"unknown override target {sec}.{key}")
-        given[sec, key] = value
+        given[sec, key] = (f"{sec}.{key}", value)
     return _build_run_config(given)
 
 
@@ -185,24 +186,44 @@ def _convert(kind: str, label: str, raw: str):
 
 
 def _build_run_config(given: dict) -> RunConfig:
-    """Build the nested dataclasses from ``{(section, key): raw text}``."""
-    raw = {_SCHEMA[sec][key]: (f"{sec}.{key}", value) for (sec, key), value in given.items()}
+    """Build the nested dataclasses from ``{(section, key): (label, raw text)}``."""
+    raw = {_SCHEMA[sec][key]: entry for (sec, key), entry in given.items()}
     built = {}
-    try:
-        # each dataclass is built, and validated, before the ones holding it
-        for cls in (GridSpec, PotentialParams, ModelParams, ScenarioConfig, RunConfig):
-            kwargs = {}
-            for f in fields(cls):
-                if f.type in built:
-                    kwargs[f.name] = built[f.type]
-                elif (cls, f.name) in raw:
-                    kwargs[f.name] = _convert(f.type, *raw[cls, f.name])
-            built[cls.__name__] = cls(**kwargs)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    # each dataclass is built, and validated, before the ones holding it
+    for cls in (GridSpec, PotentialParams, ModelParams, ScenarioConfig, RunConfig):
+        base = dict(_GRID_DEFAULT) if cls is GridSpec else {}
+        values, labels = {}, {}
+        for f in fields(cls):
+            if f.type in built:
+                base[f.name] = built[f.type]
+            elif (cls, f.name) in raw:
+                labels[f.name], text = raw[cls, f.name]
+                values[f.name] = _convert(f.type, labels[f.name], text)
+        built[cls.__name__] = _validated(cls, base, values, labels)
     return built["RunConfig"]
+
+
+def _validated(cls, base: dict, values: dict, labels: dict):
+    """``cls`` built from ``base`` updated by the given ``values``.
+
+    A rejection raises :class:`ConfigError` naming the given keys behind
+    it: each key whose reset to the default alone lets ``cls`` build or,
+    if no single reset does, each key whose reset changes the rejection.
+    """
+    try:
+        return cls(**{**base, **values})
+    except ValueError as exc:
+        message = str(exc)
+    outcomes = {}
+    for name, label in labels.items():
+        try:
+            cls(**{**base, **{k: v for k, v in values.items() if k != name}})
+            outcomes[label] = None
+        except ValueError as exc:
+            outcomes[label] = str(exc)
+    blamed = [label for label, out in outcomes.items() if out is None]
+    blamed = blamed or [label for label, out in outcomes.items() if out != message]
+    raise ConfigError(f"{', '.join(blamed)}: {message}" if blamed else message)
 
 
 # ledger CSV

@@ -10,18 +10,23 @@ from hypothesis.extra import numpy as hnp
 
 from chns import chd
 from chns.chd import (
+    _UPDATE_FLOOR,
     BARRIER_MARGIN,
     GMRES_FORCING,
+    NEWTON_TOL_FACTOR,
     ModelParams,
     NewtonError,
     _barrier_scale,
     _jacobian_solve,
+    _newton_solve,
+    _scheme_mu,
     ch_step,
     chd_step,
     chemical_potential,
     nonlocal_potential,
     sigma_step,
 )
+from chns.coupled import RunConfig, initial_state
 from chns.diagnostics import free_energy
 from chns.elliptic import neumann_symbol_solve
 from chns.grid import (
@@ -30,6 +35,7 @@ from chns.grid import (
     ScalarField,
     advect_scalar,
     grad_norm_sq,
+    inner_raw,
     integrate,
     l2_inner,
     laplacian_raw,
@@ -189,15 +195,19 @@ def test_jacobian_solve_matches_dense_oracle(dt, rng):
     assert np.linalg.norm(sol.reshape(-1) - want) <= inv_norm * GMRES_FORCING * b_norm
 
 
-def test_jacobian_solve_preconditions_once_per_iteration(monkeypatch, rng):
-    # GMRES keeps each preconditioned basis vector, so assembling the
-    # solution costs no preconditioner solve beyond one per iteration; each
-    # iteration applies J P^-1 with one Laplacian, and the closing
-    # true-residual check applies J with two
+def tanh_fixture():
     spec = GridSpec(12, 10)
     x, y = spec.cell_centers()
     phi = 0.99 * np.tanh((np.hypot(x - 0.5, y - 0.5) - 0.25) / 0.05)
-    d = psi0_second(phi, LOG)
+    return spec, psi0_second(phi, LOG)
+
+
+def test_jacobian_solve_preconditions_once_per_iteration(monkeypatch, rng):
+    # GMRES keeps each preconditioned basis vector, so assembling the
+    # solution costs no preconditioner solve beyond one per iteration; each
+    # iteration applies J P^-1 with one Laplacian, and the closing residual
+    # is summed from the stored products at no Laplacian
+    spec, d = tanh_fixture()
     calls = {"precondition": 0, "laplacian": 0}
 
     def counting(fn, key):
@@ -211,7 +221,100 @@ def test_jacobian_solve_preconditions_once_per_iteration(monkeypatch, rng):
     monkeypatch.setattr(chd, "laplacian_raw", counting(laplacian_raw, "laplacian"))
     _, iters, rel = _jacobian_solve(spec, d, 1.0e-3, rng.standard_normal((12, 10)))
     assert iters > 1 and rel <= GMRES_FORCING
-    assert calls == {"precondition": iters, "laplacian": iters + 2}
+    assert calls == {"precondition": iters, "laplacian": iters}
+
+
+@pytest.mark.parametrize("case", ["tanh", "random"])
+def test_closing_residual_from_stored_products_is_the_true_residual(case, monkeypatch, rng):
+    # the closing residual sum_j y_j (J z_j) - b is taken from the stored
+    # products; it must match J x - b recomputed from x.  The last
+    # inner_raw(r, r) of the solve is the norm of that residual.
+    if case == "tanh":
+        spec, d = tanh_fixture()
+    else:
+        spec = GridSpec(13, 9, 1.3, 0.7)
+        d = rng.uniform(1.0, 50.0, (13, 9))
+    dt = 1.0e-3
+    b = rng.standard_normal(d.shape)
+    squared = []
+
+    def spy(a, c):
+        if a is c:
+            squared.append(a.copy())
+        return inner_raw(a, c)
+
+    monkeypatch.setattr(chd, "inner_raw", spy)
+    x, iters, rel = _jacobian_solve(spec, d, dt, b)
+    stored = squared[-1]
+    recomputed = x / dt + laplacian_raw(spec, laplacian_raw(spec, x) - d * x) - b
+    b_norm = np.linalg.norm(b)
+    assert iters > 1 and rel <= GMRES_FORCING
+    assert rel == pytest.approx(np.linalg.norm(stored) / b_norm, rel=1.0e-12)
+    assert np.linalg.norm(stored - recomputed) <= 1.0e-12 * b_norm
+
+
+def spinodal_newton_solve(monkeypatch, barrier_scale=_barrier_scale):
+    """One ch_step of the seed-1 spinodal at 256^2, dt = 1e-3, where the
+    update after Newton's second iteration is below rounding.  Returns
+    ``(args, result, solves)``: the captured ``_newton_solve`` arguments
+    and result, and the number of Krylov solves the step made."""
+    cfg = RunConfig(
+        grid=GridSpec(256, 256), params=ModelParams(chi=0.2, alpha=0.5, beta=1.0), seed=1
+    )
+    state = initial_state(cfg)
+    captured = {"solves": 0}
+
+    def newton(*args):
+        captured["args"], captured["result"] = args, _newton_solve(*args)
+        return captured["result"]
+
+    def jacobian_solve(*args):
+        captured["solves"] += 1
+        return _jacobian_solve(*args)
+
+    monkeypatch.setattr(chd, "_newton_solve", newton)
+    monkeypatch.setattr(chd, "_jacobian_solve", jacobian_solve)
+    monkeypatch.setattr(chd, "_barrier_scale", barrier_scale)
+    ch_step(state.phi, state.sigma, state.vel, cfg.params, cfg.dt)
+    return captured["args"], captured["result"], captured["solves"]
+
+
+def newton_residual(args, phi):
+    spec, pparams, phi0, dt, gamma, g_expl, b_expl, _ = args
+    mu = _scheme_mu(spec, pparams, phi, phi0, gamma / dt, g_expl)
+    return (phi - phi0) / dt + b_expl - laplacian_raw(spec, mu)
+
+
+def test_newton_stops_on_the_contraction_estimate(monkeypatch):
+    args, (phi, iters, res, clipped, _), solves = spinodal_newton_solve(monkeypatch)
+    spec, pparams, phi0, dt, gamma, g_expl, b_expl, _ = args
+    rhs = phi0 / dt - b_expl + laplacian_raw(spec, g_expl)
+    tol = NEWTON_TOL_FACTOR * (1.0 + np.sqrt(spec.cell_area * np.sum(rhs * rhs)))
+    # the residual is still above its target, so without the contraction
+    # stop a third Krylov solve would run only to find a rounding-size update
+    assert res > tol
+    assert (iters, solves, clipped) == (2, 2, 0)
+    d = psi0_second(phi, pparams) + gamma / dt
+    delta = _jacobian_solve(spec, d, dt, -newton_residual(args, phi))[0]
+    assert np.max(np.abs(delta)) <= _UPDATE_FLOOR * max(1.0, np.max(np.abs(phi)))
+
+
+@pytest.mark.parametrize("damped_updates", [{1}, {2}, {1, 2}], ids=["first", "second", "both"])
+def test_damped_updates_keep_the_rounding_floor_stop(monkeypatch, damped_updates):
+    # an update a hair short of full, either of the two the estimate
+    # compares: the estimate does not apply, and Newton runs on until its
+    # update is below rounding
+    calls = []
+
+    def damped(phi, delta):
+        calls.append(None)
+        scale = 1.0 - 1.0e-12 if len(calls) in damped_updates else 1.0
+        return scale * _barrier_scale(phi, delta)
+
+    _, (phi, iters, _, clipped, _), solves = spinodal_newton_solve(monkeypatch, damped)
+    _, (want, *_), _ = spinodal_newton_solve(monkeypatch)
+    assert (iters, solves, clipped) == (3, 3, len(damped_updates))
+    assert np.max(np.abs(phi - want)) <= 1.0e-13
 
 
 def masked_barrier_scale(phi, delta):

@@ -617,8 +617,29 @@ def test_negative_seed_exits_two(tmp_path, capsys, argv):
     assert main([*argv, "--config", write_config(tmp_path, QUICK), *extra]) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
-    assert err.startswith("error: seed must be >= 0, got -1")
+    assert err.startswith("error: scenario.seed: seed must be >= 0, got -1")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, overrides, named",
+    [
+        ("[time]\ndt = -1\n", [], "{path}: time.dt: dt must be positive"),
+        ("[grid]\nnx = 3\nny = 2\n", [], "{path}: grid.nx, {path}: grid.ny: grid needs nx, ny"),
+        ("[grid]\nnx = 3\nny = 2\n", ["grid.nx=8"], "{path}: grid.ny: grid needs nx, ny"),
+        ("[time]\ndt = -1\n", ["scenario.seed=-1"], "{path}: time.dt: dt must be positive"),
+        ("[time]\ndt = 0.01\n", ["params.alpha=-1"], "params.alpha: violates (H3)"),
+    ],
+    ids=["file", "file-two-keys", "override-fixes-one", "first-of-two-errors", "override"],
+)
+def test_rejected_value_names_its_key_and_file(tmp_path, capsys, text, overrides, named):
+    path = tmp_path / "case.ini"
+    path.write_text(text)
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    assert main(["check", "--config", str(path), *sets]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: " + named.format(path=path))
 
 
 def test_bad_override_exits_two(capsys):

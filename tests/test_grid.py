@@ -8,6 +8,9 @@ implementation's divergence-of-gradient route.
 import numpy as np
 import pytest
 from conftest import dense_advection_matrix, dense_neumann_laplacian
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from chns.grid import (
     GridMismatchError,
@@ -119,6 +122,38 @@ def test_div_of_grad_is_laplacian(rng):
     composed = div_raw(spec, *grad_raw(spec, f.values))
     direct = laplacian_raw(spec, f.values)
     assert np.array_equal(composed, direct)
+
+
+def laid_out(values, layout):
+    """``values`` as a C-contiguous array, a transposed view or a strided slice."""
+    if layout == "transposed":
+        return np.ascontiguousarray(values.T).T
+    if layout == "sliced":
+        nx, ny = values.shape
+        host = np.full((2 * nx, ny + 3), np.nan)
+        host[::2, 1 : ny + 1] = values
+        return host[::2, 1 : ny + 1]
+    return values
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    shape=st.tuples(st.integers(4, 13), st.integers(4, 13)),
+    sides=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+    layout=st.sampled_from(["contiguous", "transposed", "sliced"]),
+)
+def test_laplacian_is_div_of_grad_bit_for_bit(data, shape, sides, layout):
+    spec = GridSpec(*shape, *sides)
+    assume(spec.hx != spec.hy)
+    # signed zeros included: the bytes must match, not just the values
+    values = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-1.0e3, 1.0e3)))
+    f = laid_out(values, layout)
+    want = div_raw(spec, *grad_raw(spec, values))
+    got = laplacian_raw(spec, f)
+    assert got.shape == shape
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(f, values)
 
 
 def test_div_mean_vanishes(rng):
