@@ -295,6 +295,8 @@ def _newton_solve(
     g_expl: np.ndarray,
     b_expl: np.ndarray | float,
     m_target: float,
+    mu0: np.ndarray | None = None,
+    max_updates: int | None = None,
 ) -> tuple[np.ndarray, int, float, int, int]:
     """Solve ``(phi - phi0)/dt + b_expl = lap mu`` with ``mu`` the scheme's
     chemical potential (:func:`_scheme_mu`) and recenter to ``m_target``.
@@ -309,15 +311,19 @@ def _newton_solve(
     most ``theta / (1 - theta) max|delta_k|`` (Deuflhard, Newton Methods
     for Nonlinear Problems, Springer 2004), and a bound below the rounding
     floor saves the Krylov solve that would only find that out.
-    Returns ``(phi, iterations, residual, barrier_activations,
-    gmres_iterations)``.
+    ``mu0``, when given, is the scheme's chemical potential at ``phi0``,
+    which the first residual then reuses.  With ``max_updates`` the solve
+    returns after that many updates whether or not the target is met, as a
+    pseudo-transient continuation step does.  Returns ``(phi, iterations,
+    residual, barrier_activations, gmres_iterations)``.
     """
     area = spec.cell_area
     barrier = pparams.variant == "logarithmic"
     gd = gamma / dt
 
-    def residual(phi: np.ndarray) -> np.ndarray:
-        mu = _scheme_mu(spec, pparams, phi, phi0, gd, g_expl)
+    def residual(phi: np.ndarray, mu: np.ndarray | None = None) -> np.ndarray:
+        if mu is None:
+            mu = _scheme_mu(spec, pparams, phi, phi0, gd, g_expl)
         return (phi - phi0) / dt + b_expl - laplacian_raw(spec, mu)
 
     def norm(r: np.ndarray) -> float:
@@ -327,11 +333,11 @@ def _newton_solve(
     tol = NEWTON_TOL_FACTOR * (1.0 + norm(rhs))
 
     phi = phi0.copy()
-    r = residual(phi)
+    r = residual(phi, mu0)
     res = norm(r)
     it = clipped = linear = 0
     prev_step = None  # max|delta| of the previous update if it was taken undamped
-    while not res <= tol:
+    while not res <= tol and it != max_updates:
         if it == NEWTON_MAX_ITER:
             raise NewtonError(
                 f"phase-field Newton iteration did not converge: residual {res:.3e} "

@@ -8,10 +8,20 @@ to a single phase-field equation: the zero-mean part of
 ``-lap phi + psi'(phi) - chi sigma(phi) + beta N(phi - m)``
 
 must vanish, where the mean ``m`` is ``c0`` when mass exchange is active
-and the seed's mean otherwise.  The solver runs a semi-implicit gradient
-flow on the reduced free energy (convex part implicit, concave quadratic
-and couplings explicit) with the mean pinned exactly at every iteration
-and the pseudo-step adapted so the energy never increases.
+and the seed's mean otherwise.  The solver runs pseudo-transient
+continuation (Kelley & Keyes, SIAM J. Numer. Anal. 35, 1998) on the
+``H^-1`` gradient flow of the reduced free energy, with the mean pinned
+exactly at every pseudo-step.  Each pseudo-step treats the whole local
+energy implicitly, the concave quadratic ``-(theta_eff/2) phi^2`` with
+``theta_eff = theta0 + chi^2`` included; only ``beta N`` stays explicit.
+Two caps on the pseudo-step ``dtau`` make that step the minimiser of a
+strictly convex functional: ``dtau < 4 / (theta_eff - floor)^2``, with
+``floor`` the convexity floor of ``psi0''``, and ``dtau <= 1/|beta|`` for
+the explicit nonlocal term.  An exact step then cannot raise the reduced
+energy.  Each pseudo-step takes one damped Newton update, as classical
+pseudo-transient continuation does; an energy check is the safeguard,
+growing ``dtau`` by 1.5 after a step that does not raise the energy and
+rejecting any other step with ``dtau`` cut by 4.
 
 ``rate_fit`` estimates the algebraic decay exponent of a distance-to-
 equilibrium series: a least-squares slope ``m`` of ``log(deficit)``
@@ -44,6 +54,9 @@ __all__ = [
 ]
 
 MAX_FLOW_ITER = 5000
+#: Fraction of the convexity bound ``4 / (theta_eff - convexity_floor)^2``
+#: that caps the pseudo-step, keeping each pseudo-step strictly convex.
+CONVEXITY_FRACTION = 0.99
 #: Tail fraction of the samples that :func:`rate_fit` fits.
 RATE_FIT_TAIL = 0.5
 
@@ -100,11 +113,16 @@ def solve_stationary(
     ``1e-12`` of ``+-1`` under the logarithmic potential, its fluctuation
     is contracted instead, ``m + lam (seed - mean seed)`` with the largest
     ``lam`` that keeps every cell ``min(INIT_MARGIN, (1 - |m|)/2)`` inside
-    the interval.  Iterates until the zero-mean equilibrium residual has
-    max norm at most ``cfg.rel_tol * theta0``, for at most
-    :data:`MAX_FLOW_ITER` iterations.  A :class:`~chns.chd.NewtonError`
-    from a pseudo-step is raised again with ``(pseudo-step N, dtau = X)``
-    appended to its message.  Raises
+    the interval.  Takes pseudo-transient continuation steps (module
+    docstring: one damped Newton update each, ``dtau`` from 0.1 capped at
+    :data:`CONVEXITY_FRACTION` of the convexity bound and at ``1/|beta|``,
+    the energy check as safeguard) until the zero-mean equilibrium
+    residual has max norm at most ``cfg.rel_tol * theta0``, for at most
+    :data:`MAX_FLOW_ITER` pseudo-steps.  Raises :class:`StationaryError` at
+    once when Newton takes no iteration at the largest pseudo-step with the
+    residual above target, since no later pseudo-step moves.  A
+    :class:`~chns.chd.NewtonError` from a pseudo-step is raised again with
+    ``(pseudo-step N, dtau = X)`` appended to its message.  Raises
     :class:`~chns.potential.PotentialDomainError` when the pinned mean
     itself lies outside the logarithmic potential's interval.
     """
@@ -128,7 +146,9 @@ def solve_stationary(
     # effective concave coefficient after eliminating sigma
     theta_eff = p.theta0 + p.chi**2
     dtau = 0.1
-    dtau_max = 1.0e3 if p.beta == 0.0 else min(1.0e3, 1.0 / abs(p.beta))
+    dtau_max = CONVEXITY_FRACTION * 4.0 / (theta_eff - p.potential.convexity_floor) ** 2
+    if p.beta != 0.0:
+        dtau_max = min(dtau_max, 1.0 / abs(p.beta))
     energy, nphi = _reduced_energy(phi, spec, p)
 
     it = 0
@@ -136,7 +156,8 @@ def solve_stationary(
         g_expl = -theta_eff * phi - p.chi * sigma_const
         if p.beta != 0.0:
             g_expl = g_expl + p.beta * nphi.values
-        # the scheme's mu at a fixed point (phi0 = phi, gamma = 0), less its mean
+        # the scheme's mu at a fixed point (phi0 = phi, gamma = 0), less its
+        # mean; Newton's first residual reuses it
         mu = _scheme_mu(spec, p.potential, phi, phi, 0.0, g_expl)
         res_inf = float(np.max(np.abs(mu - mu.mean())))
         if res_inf <= tol:
@@ -148,8 +169,10 @@ def solve_stationary(
             )
         it += 1
         try:
+            # gamma/dtau = -theta_eff puts the concave part on the new iterate
             phi_try, iters = _newton_solve(
-                spec, p.potential, phi, dtau, 0.0, g_expl, 0.0, m_target
+                spec, p.potential, phi, dtau, -theta_eff * dtau, g_expl, 0.0, m_target,
+                mu0=mu, max_updates=1,
             )[:2]
         except NewtonError as exc:
             raise NewtonError(f"{exc} (pseudo-step {it}, dtau = {dtau:g})") from exc
