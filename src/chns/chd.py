@@ -286,6 +286,33 @@ def _scheme_mu(
     return -laplacian_raw(spec, phi) + pot.psi0_prime(phi, pparams) + gd * (phi - phi0) + g_expl
 
 
+def _newton_update(
+    spec: GridSpec,
+    pparams: PotentialParams,
+    phi: np.ndarray,
+    r: np.ndarray,
+    dt: float,
+    gd: float,
+    it: int,
+) -> tuple[np.ndarray, float, int]:
+    """Newton iteration ``it`` at ``phi`` against the residual ``r``: the
+    Krylov solve of ``J delta = -r`` (:func:`_jacobian_solve`, ``d =
+    psi0''(phi) + gd``) and, under the logarithmic potential, the barrier
+    scale of ``delta`` (:func:`_barrier_scale`; 1 otherwise).  Returns
+    ``(delta, scale, gmres_iterations)``; raises :class:`NewtonError` when
+    GMRES stops above its target."""
+    d = pot.psi0_second(phi, pparams) + gd
+    delta, gmres_iters, gmres_res = _jacobian_solve(spec, d, dt, -r)
+    if gmres_res > GMRES_FORCING:
+        raise NewtonError(
+            f"GMRES did not converge in Newton iteration {it}: relative "
+            f"residual {gmres_res:.3e} (target {GMRES_FORCING:.1e}) after "
+            f"{gmres_iters} iterations"
+        )
+    s = _barrier_scale(phi, delta) if pparams.variant == "logarithmic" else 1.0
+    return delta, s, gmres_iters
+
+
 def _newton_solve(
     spec: GridSpec,
     pparams: PotentialParams,
@@ -295,14 +322,14 @@ def _newton_solve(
     g_expl: np.ndarray,
     b_expl: np.ndarray | float,
     m_target: float,
-    mu0: np.ndarray | None = None,
-    max_updates: int | None = None,
 ) -> tuple[np.ndarray, int, float, int, int]:
     """Solve ``(phi - phi0)/dt + b_expl = lap mu`` with ``mu`` the scheme's
-    chemical potential (:func:`_scheme_mu`) and recenter to ``m_target``.
+    chemical potential (:func:`_scheme_mu`) by :func:`_newton_update` steps
+    and recenter to ``m_target``.
 
-    Stops at the residual target or once the update is below rounding
-    (:data:`_UPDATE_FLOOR`), since on fine grids or long steps the
+    A damped update that fails to reduce the residual is halved, at most
+    five times.  Stops at the residual target or once the update is below
+    rounding (:data:`_UPDATE_FLOOR`), since on fine grids or long steps the
     residual's rounding floor, relative to ``|rhs|`` about ``eps dt max
     eig(lap^2)``, lies above the target.  It also stops after an update
     once the next one is sure to be below rounding: when two updates in a
@@ -311,19 +338,15 @@ def _newton_solve(
     most ``theta / (1 - theta) max|delta_k|`` (Deuflhard, Newton Methods
     for Nonlinear Problems, Springer 2004), and a bound below the rounding
     floor saves the Krylov solve that would only find that out.
-    ``mu0``, when given, is the scheme's chemical potential at ``phi0``,
-    which the first residual then reuses.  With ``max_updates`` the solve
-    returns after that many updates whether or not the target is met, as a
-    pseudo-transient continuation step does.  Returns ``(phi, iterations,
-    residual, barrier_activations, gmres_iterations)``.
+    Returns ``(phi, iterations, residual, barrier_activations,
+    gmres_iterations)``.
     """
     area = spec.cell_area
     barrier = pparams.variant == "logarithmic"
     gd = gamma / dt
 
-    def residual(phi: np.ndarray, mu: np.ndarray | None = None) -> np.ndarray:
-        if mu is None:
-            mu = _scheme_mu(spec, pparams, phi, phi0, gd, g_expl)
+    def residual(phi: np.ndarray) -> np.ndarray:
+        mu = _scheme_mu(spec, pparams, phi, phi0, gd, g_expl)
         return (phi - phi0) / dt + b_expl - laplacian_raw(spec, mu)
 
     def norm(r: np.ndarray) -> float:
@@ -333,31 +356,23 @@ def _newton_solve(
     tol = NEWTON_TOL_FACTOR * (1.0 + norm(rhs))
 
     phi = phi0.copy()
-    r = residual(phi, mu0)
+    r = residual(phi)
     res = norm(r)
     it = clipped = linear = 0
     prev_step = None  # max|delta| of the previous update if it was taken undamped
-    while not res <= tol and it != max_updates:
+    while not res <= tol:
         if it == NEWTON_MAX_ITER:
             raise NewtonError(
                 f"phase-field Newton iteration did not converge: residual {res:.3e} "
                 f"(target {tol:.3e}) after {NEWTON_MAX_ITER} iterations"
             )
         it += 1
-        d = pot.psi0_second(phi, pparams) + gd
-        delta, gmres_iters, gmres_res = _jacobian_solve(spec, d, dt, -r)
+        delta, s, gmres_iters = _newton_update(spec, pparams, phi, r, dt, gd, it)
         linear += gmres_iters
-        if gmres_res > GMRES_FORCING:
-            raise NewtonError(
-                f"GMRES did not converge in Newton iteration {it}: relative "
-                f"residual {gmres_res:.3e} (target {GMRES_FORCING:.1e}) after "
-                f"{gmres_iters} iterations"
-            )
         step = float(np.max(np.abs(delta)))
         floor = _UPDATE_FLOOR * max(1.0, float(np.max(np.abs(phi))))
         if step <= floor:
             break
-        s = _barrier_scale(phi, delta) if barrier else 1.0
         if s < 1.0:
             clipped += 1
         # fall back to halving if the damped update fails to reduce the residual

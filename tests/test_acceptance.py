@@ -6,6 +6,7 @@ step loop so the phase-bound criterion can audit every run and count
 barrier-safeguard activations; the other criteria reuse the same rows.
 """
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from chns.grid import (
     l2_inner,
     laplacian_raw,
 )
-from chns.potential import PotentialParams
+from chns.potential import PotentialParams, psi_prime
 from chns.stationary import rate_fit, solve_stationary
 
 COUPLED_PARAMS = ModelParams(chi=0.2, alpha=0.5, beta=1.0)
@@ -330,7 +331,7 @@ def test_criterion_9_determinism_and_io(tmp_path):
     assert ok
 
 
-def test_separating_droplet_stays_separated_under_flow(tmp_path):
+def test_separating_droplet_stays_separated_under_flow(tmp_path, capsys):
     # the README's phase-separating config, the regime the paper studies:
     # a droplet of width 1 on a 20 x 20 box keeps its interface, and the
     # capillary force drives a real flow on the way there
@@ -344,8 +345,9 @@ def test_separating_droplet_stays_separated_under_flow(tmp_path):
     assert (parsed.dt, parsed.t_end) == (0.05, 20.0)
 
     # exit 0: the mass laws and the phase bound held at every step
-    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
-    rows = read_ledger_csv(tmp_path / "out" / "ledger.csv")
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(cfg), "--out", str(out)])
+    rows = read_ledger_csv(out / "ledger.csv")
     margin = rows[-1].sep_delta
     peak_kinetic = max(row.kinetic for row in rows)
     ok = code == 0 and 0.0 < margin < 0.1 and peak_kinetic > 1.0e-3
@@ -354,3 +356,25 @@ def test_separating_droplet_stays_separated_under_flow(tmp_path):
         f"peak kinetic {peak_kinetic:.4e}"
     )
     assert ok
+
+    # and the README's next command relaxes that state to its nonuniform
+    # equilibrium
+    capsys.readouterr()
+    code = main(["stationary", "--config", str(cfg), "--seed-snapshot", str(out / "final.bin")])
+    stdout = capsys.readouterr().out
+    assert code == 0
+    found = re.search(r"residual (\S+) after (\d+) iterations", stdout)
+    reported, pseudo_steps = float(found[1]), int(found[2])
+    p = parsed.params
+    target = parsed.solver.rel_tol * p.theta0
+    seed = read_snapshot(out / "final.bin")
+    eq = read_snapshot(out / "equilibrium.bin")
+    phi = eq.phi.values
+    r = -laplacian_raw(eq.grid, phi) + psi_prime(phi, p.potential) - p.chi * eq.sigma.values
+    print(f"separated equilibrium: {pseudo_steps} pseudo-steps, residual {reported:.3e}")
+    assert pseudo_steps <= 15
+    assert reported <= target
+    assert np.max(np.abs(r - r.mean())) <= target
+    assert abs(phi.mean() - p.c0) <= 1.0e-12
+    assert abs(eq.sigma.values.mean() - seed.sigma.values.mean()) <= 1.0e-12
+    assert np.max(np.abs(phi)) < 1.0

@@ -739,7 +739,8 @@ def test_stationary_krylov_failure_names_the_pseudo_step(tmp_path, capsys, monke
     assert code == 3
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith("solver failure: GMRES did not converge in Newton iteration 1")
-    assert err.endswith(" (pseudo-step 1, dtau = 0.1)\n")
+    # the first pseudo-step is 0.99 of the convexity bound 4 / (theta0 + chi^2 - theta)^2
+    assert err.endswith(f" (pseudo-step 1, dtau = {0.99 * 4.0 / 1.04**2:g})\n")
     assert not (out / "equilibrium.bin").exists()
 
 
