@@ -300,10 +300,10 @@ def _newton_update(
     psi0''(phi) + gd``) and, under the logarithmic potential, the barrier
     scale of ``delta`` (:func:`_barrier_scale`; 1 otherwise).  Returns
     ``(delta, scale, gmres_iterations)``; raises :class:`NewtonError` when
-    GMRES stops above its target."""
+    GMRES stops above its target or at a non-finite residual."""
     d = pot.psi0_second(phi, pparams) + gd
     delta, gmres_iters, gmres_res = _jacobian_solve(spec, d, dt, -r)
-    if gmres_res > GMRES_FORCING:
+    if not gmres_res <= GMRES_FORCING:
         raise NewtonError(
             f"GMRES did not converge in Newton iteration {it}: relative "
             f"residual {gmres_res:.3e} (target {GMRES_FORCING:.1e}) after "
@@ -338,8 +338,9 @@ def _newton_solve(
     most ``theta / (1 - theta) max|delta_k|`` (Deuflhard, Newton Methods
     for Nonlinear Problems, Springer 2004), and a bound below the rounding
     floor saves the Krylov solve that would only find that out.
-    Returns ``(phi, iterations, residual, barrier_activations,
-    gmres_iterations)``.
+    Raises :class:`NewtonError` at once when the residual or its target is
+    not finite, before any Krylov solve.  Returns ``(phi, iterations,
+    residual, barrier_activations, gmres_iterations)``.
     """
     area = spec.cell_area
     barrier = pparams.variant == "logarithmic"
@@ -360,7 +361,13 @@ def _newton_solve(
     res = norm(r)
     it = clipped = linear = 0
     prev_step = None  # max|delta| of the previous update if it was taken undamped
-    while not res <= tol:
+    # any residual meets an infinite target, so that target is refused too
+    while not res <= tol or tol == np.inf:
+        if not (np.isfinite(res) and np.isfinite(tol)):
+            raise NewtonError(
+                f"non-finite phase-field Newton residual {res:.3e} (target {tol:.3e}) "
+                f"before Newton iteration {it + 1}"
+            )
         if it == NEWTON_MAX_ITER:
             raise NewtonError(
                 f"phase-field Newton iteration did not converge: residual {res:.3e} "

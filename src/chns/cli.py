@@ -30,6 +30,7 @@ import argparse
 import configparser
 import csv
 import ctypes
+import math
 import os
 import re
 import sys
@@ -486,6 +487,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     print(f"ledger: {out_dir / 'ledger.csv'}")
     print(f"final state: {out_dir / 'final.bin'}")
+    for row in rows:
+        for name in LEDGER_FIELDS:
+            if not math.isfinite(getattr(row, name)):
+                print(
+                    f"invariant failure: non-finite ledger value in {name} at step {row.step}",
+                    file=sys.stderr,
+                )
+                return 1
     if cfg.params.potential.variant == "logarithmic" and sep.min_margin <= 1.0e-12:
         print("invariant failure: phase bound violated (separation margin below 1e-12)", file=sys.stderr)
         return 1

@@ -12,10 +12,11 @@ Two variants:
 Both are written as a convex part minus a quadratic,
 ``psi = psi0 - (theta0/2) r^2``, which is what the semi-implicit time
 stepping needs: the convex part ``psi0`` is treated implicitly and its
-second derivative is bounded below by a positive constant.  For the
-quartic variant this makes ``psi0(r) = r^4/4 + (theta0 - 1) r^2 / 2 +
-1/4`` (constant pinned so that ``psi(+-1) = 0``), so ``theta0 > 1`` is
-required there and ``psi0'' >= theta0 - 1``.
+second derivative is bounded below by a positive constant; for the
+quartic variant ``psi0'' = 3 r^2 + theta0 - 1``, so ``theta0 > 1`` is
+required there.  A variant is written out only in the kernels a run or
+a solve calls, :func:`psi`, :func:`psi0_prime` and :func:`psi0_second`;
+:func:`psi0` and :func:`psi_prime` follow from the split in one line each.
 
 The logarithmic kernels use numpy's vectorized ``log`` and ``arctanh``:
 the entropy ``(1 - r) ln(1 - r) + (1 + r) ln(1 + r)`` is summed from two
@@ -117,28 +118,6 @@ def psi(r, p: PotentialParams):
     return out if out.ndim else float(out)
 
 
-def psi0(r, p: PotentialParams):
-    """Convex part, ``psi + (theta0/2) r^2`` up to the pinned constant."""
-    r = np.asarray(r, dtype=np.float64)
-    _check_closed(r, p)
-    if p.variant == "logarithmic":
-        out = 0.5 * p.theta * _entropy(r) + 0.5 * p.theta0
-    else:
-        out = 0.25 * r**4 + 0.5 * (p.theta0 - 1.0) * r * r + 0.25
-    return out if out.ndim else float(out)
-
-
-def psi_prime(r, p: PotentialParams):
-    """First derivative; open-interval domain for the logarithmic variant."""
-    r = np.asarray(r, dtype=np.float64)
-    _check_open(r, p)
-    if p.variant == "logarithmic":
-        out = p.theta * np.arctanh(r) - p.theta0 * r
-    else:
-        out = r**3 - r
-    return out if out.ndim else float(out)
-
-
 def psi0_prime(r, p: PotentialParams):
     r = np.asarray(r, dtype=np.float64)
     _check_open(r, p)
@@ -157,3 +136,13 @@ def psi0_second(r, p: PotentialParams):
     else:
         out = 3.0 * r * r + (p.theta0 - 1.0)
     return out if out.ndim else float(out)
+
+
+def psi0(r, p: PotentialParams):
+    """Convex part of the split, ``psi + (theta0/2) r^2``."""
+    return psi(r, p) + 0.5 * p.theta0 * np.square(r)
+
+
+def psi_prime(r, p: PotentialParams):
+    """First derivative, ``psi0' - theta0 r``; open-interval domain."""
+    return psi0_prime(r, p) - np.multiply(p.theta0, r)

@@ -102,21 +102,24 @@ class Equilibrium:
     mean_sigma: float
 
 
-def _reduced_energy(phi: np.ndarray, spec, p: ModelParams) -> tuple[float, ScalarField | None]:
-    """Free energy after eliminating sigma, up to a phi-independent
-    constant: ``free_energy(phi, chi phi + c) - c^2 |Omega| / 2``.  Returns
-    the energy and ``N(phi)``, which the next pseudo-step reuses; going
-    through ``free_energy`` instead adds an ``N`` solve and the solute
-    terms, about 0.4 ms or 8-10 % of a pseudo-step at 96^2."""
+def _evaluate(phi: np.ndarray, spec, p: ModelParams, sigma_const: float) -> tuple:
+    """The reduced energy at ``phi``, the scheme's ``mu`` at a fixed point
+    (``phi0 = phi``, ``gamma = 0``) on the locked solute ``chi phi +
+    sigma_const``, and the max norm of its fluctuation, from one ``N`` solve.
+    The energy is ``free_energy(phi, chi phi + c) - c^2 |Omega| / 2``; going
+    through ``free_energy`` instead adds an ``N`` solve and the solute terms,
+    about 0.4 ms or 8-10 % of a pseudo-step at 96^2."""
     f = ScalarField(spec, phi)
-    out = 0.5 * grad_norm_sq(f) + integrate(ScalarField(spec, pot.psi(phi, p.potential)))
-    out -= 0.5 * p.chi**2 * spec.cell_area * inner_raw(phi, phi)
-    nphi = None
+    energy = 0.5 * grad_norm_sq(f) + integrate(ScalarField(spec, pot.psi(phi, p.potential)))
+    energy -= 0.5 * p.chi**2 * spec.cell_area * inner_raw(phi, phi)
+    g_expl = -(p.theta0 + p.chi**2) * phi - p.chi * sigma_const
     if p.beta != 0.0:
-        nphi, _ = nonlocal_potential(f)
+        nphi = nonlocal_potential(f)[0].values
         fluct = phi - phi.mean()
-        out += 0.5 * p.beta * spec.cell_area * inner_raw(fluct, nphi.values)
-    return out, nphi
+        energy += 0.5 * p.beta * spec.cell_area * inner_raw(fluct, nphi)
+        g_expl = g_expl + p.beta * nphi
+    mu = _scheme_mu(spec, p.potential, phi, phi, 0.0, g_expl)
+    return energy, mu, float(np.max(np.abs(mu - mu.mean())))
 
 
 def _newton_solve(
@@ -159,15 +162,13 @@ def solve_stationary(
     ``1e-12`` of ``+-1`` under the logarithmic potential, its fluctuation
     is contracted instead, ``m + lam (seed - mean seed)`` with the largest
     ``lam`` that keeps every cell ``min(INIT_MARGIN, (1 - |m|)/2)`` inside
-    the interval.  Takes pseudo-transient continuation steps (module
-    docstring: one Newton update each, ``dtau`` started at
-    :data:`CAP_FRACTION` of the convexity bound and grown by switched
-    evolution relaxation, the energy check as safeguard) until the
+    the interval.  Takes the module docstring's pseudo-steps until the
     zero-mean equilibrium residual has max norm at most ``cfg.rel_tol *
     theta0``.  Raises :class:`StationaryError` when over the last
     :data:`STALL_STEPS` accepted pseudo-steps the residual has not halved
     and the energy has not fallen, when ``dtau`` collapses below
-    ``1e-12``, or after :data:`MAX_FLOW_ITER` pseudo-steps.  A
+    ``1e-12``, after :data:`MAX_FLOW_ITER` pseudo-steps, or at once when
+    ``theta0 + chi^2`` is so large that the first ``dtau`` overflows.  A
     :class:`~chns.chd.NewtonError` from a pseudo-step is raised again with
     ``(pseudo-step N, dtau = X)`` appended to its message.  Raises
     :class:`~chns.potential.PotentialDomainError` when the pinned mean
@@ -193,25 +194,19 @@ def solve_stationary(
         phi = m_target + fluct / max(1.0, spread)
 
     tol = cfg.rel_tol * p.theta0
-    # effective concave coefficient after eliminating sigma
-    theta_eff = p.theta0 + p.chi**2
     beta_cap = 1.0 / abs(p.beta) if p.beta != 0.0 else np.inf
-    dtau = min(CAP_FRACTION * 4.0 / (theta_eff - p.potential.convexity_floor) ** 2, beta_cap)
+    try:  # theta_eff: the concave coefficient after eliminating sigma
+        theta_eff = p.theta0 + p.chi**2
+        dtau = min(CAP_FRACTION * 4.0 / (theta_eff - p.potential.convexity_floor) ** 2, beta_cap)
+    except OverflowError as exc:
+        raise StationaryError(
+            f"theta0 + chi^2 overflows the first pseudo-step (theta0 = {p.theta0:g}, chi = {p.chi:g})"
+        ) from exc
 
-    def equilibrium_residual(phi: np.ndarray, nphi: ScalarField | None):
-        """The scheme's ``mu`` at a fixed point (``phi0 = phi``, ``gamma =
-        0``) and the max norm of its fluctuation."""
-        g_expl = -theta_eff * phi - p.chi * sigma_const
-        if p.beta != 0.0:
-            g_expl = g_expl + p.beta * nphi.values
-        mu = _scheme_mu(spec, p.potential, phi, phi, 0.0, g_expl)
-        return mu, float(np.max(np.abs(mu - mu.mean())))
-
-    energy, nphi = _reduced_energy(phi, spec, p)
-    mu, res_inf = equilibrium_residual(phi, nphi)
+    energy, mu, res_inf = _evaluate(phi, spec, p, sigma_const)
     accepted = [(res_inf, energy)]  # residual and energy of each accepted iterate
     it = 0
-    while res_inf > tol:
+    while not res_inf <= tol:
         if it >= MAX_FLOW_ITER:
             raise StationaryError(
                 f"stationary residual {res_inf:.3e} above target {tol:.3e} "
@@ -227,11 +222,10 @@ def solve_stationary(
             phi_try = _newton_solve(spec, p.potential, phi, dtau, -theta_eff, mu, m_target)[0]
         except NewtonError as exc:
             raise NewtonError(f"{exc} (pseudo-step {it}, dtau = {dtau:g})") from exc
-        energy_try, nphi_try = _reduced_energy(phi_try, spec, p)
+        energy_try, mu_try, res_try = _evaluate(phi_try, spec, p, sigma_const)
         rounding = ENERGY_ROUNDING * max(1.0, abs(energy))
         if energy_try <= energy + rounding:
-            phi, energy, nphi = phi_try, energy_try, nphi_try
-            mu, res_inf = equilibrium_residual(phi, nphi)
+            phi, energy, mu, res_inf = phi_try, energy_try, mu_try, res_try
             if res_inf <= tol:
                 break
             accepted.append((res_inf, energy))

@@ -494,6 +494,14 @@ def test_newton_failure_reports():
         ch_step(phi, sigma, MacVelocity.zeros(spec), p, 0.1)
 
 
+def test_newton_update_refuses_a_non_finite_krylov_result():
+    # a NaN relative residual compares false against the GMRES target too
+    spec = GridSpec(8, 8)
+    r = np.full((8, 8), np.nan)
+    with pytest.raises(NewtonError, match="GMRES did not converge"):
+        chd._newton_update(spec, LOG, np.zeros((8, 8)), r, 1.0e-3, 0.0, 1)
+
+
 def test_divergent_solve_raises_newton_error_not_domain_error():
     # Barrier-clipped updates can shrink a cell's distance to +-1 below
     # one ulp, where phi + s * delta rounds onto the barrier itself.  The

@@ -692,6 +692,55 @@ def test_krylov_failure_exits_three(tmp_path, capsys, monkeypatch):
     assert err.endswith(" (step 1, t = 0.0)\n")
 
 
+# the unit-box spinodal on 16^2 to t = 0.01
+SMALL_RUN = ["--set", "grid.nx=16", "--set", "grid.ny=16", "--set", "time.t_end=0.01"]
+
+
+@pytest.mark.parametrize("override", ["params.chi=1e200", "grid.lx=1e-300"])
+def test_non_finite_newton_residual_fails_before_any_krylov_solve(
+    tmp_path, capsys, monkeypatch, override
+):
+    # an overflowing coupling or a vanishing cell width leaves the Newton
+    # residual or its target non-finite, which no Krylov solve can repair
+    solves = []  # Krylov solves of the current step
+    ch_step, jacobian_solve = chd.ch_step, chd._jacobian_solve
+
+    def step(*args, **kwargs):
+        solves.clear()
+        return ch_step(*args, **kwargs)
+
+    def solve(*args):
+        solves.append(None)
+        return jacobian_solve(*args)
+
+    monkeypatch.setattr(chd, "ch_step", step)
+    monkeypatch.setattr(chd, "_jacobian_solve", solve)
+    code = main(["run", *SMALL_RUN, "--set", override, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("solver failure: non-finite phase-field Newton residual")
+    assert len(solves) <= 1
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        ["--set", "scenario.sigma_mean=1e200"],
+        ["--set", "grid.lx=1e-300", "--set", "grid.ly=1e-300", "--set", "time.t_end=0"],
+    ],
+)
+def test_non_finite_ledger_exits_one(tmp_path, capsys, overrides):
+    # a solute energy that overflows, or a ledger row on cells of width
+    # 1e-300, is written out and then reported as a broken invariant
+    out = tmp_path / "out"
+    assert main(["run", *SMALL_RUN, *overrides, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert re.fullmatch(r"invariant failure: non-finite ledger value in \w+ at step 0\n", err)
+    assert (out / "ledger.csv").is_file() and (out / "final.bin").is_file()
+
+
 # stationary and ratefit commands
 
 
@@ -809,6 +858,22 @@ def test_failed_stationary_solve_exits_three_and_leaves_no_directory(
     assert main([*argv, "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith("solver failure: stationary residual")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("override", ["params.chi=1e200", "params.theta0=1e160"])
+def test_stationary_overflowing_parameter_exits_three(tmp_path, capsys, override):
+    # theta0 + chi^2 and the square in the first pseudo-step's bound are
+    # Python floats, whose ** raises OverflowError instead of giving inf
+    cfg = write_config(tmp_path, QUICK.replace("t_end = 0.1", "t_end = 0.0"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    argv = ["stationary", "--config", cfg, "--set", override]
+    assert main([*argv, "--seed-snapshot", str(out / "final.bin")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("solver failure: theta0 + chi^2 overflows")
+    assert not (out / "equilibrium.bin").exists()
 
 
 def test_solver_failures_share_one_base():

@@ -191,7 +191,7 @@ def test_pseudo_transient_continuation(monkeypatch, beta, pseudo_steps):
         assert np.min(1.0 / args[3] + lam * (lam + mean_d)) > 0.0
     # each call starts from the last accepted iterate
     accepted = [args[2] for args, _, _ in calls] + [eq.phi.values]
-    energies = [stationary._reduced_energy(phi, state.phi.grid, p)[0] for phi in accepted]
+    energies = [stationary._evaluate(phi, state.phi.grid, p, 0.0)[0] for phi in accepted]
     assert np.all(np.diff(energies) <= 1.0e-14)
     target = cfg.solver.rel_tol * p.theta0
     assert eq.residual_inf <= target
@@ -253,7 +253,8 @@ def test_large_box_droplet_converges_instead_of_freezing():
 
 def test_reduced_energy_is_the_free_energy_on_the_locked_solute():
     # sigma = chi phi + c turns the solute terms into -chi^2 phi^2 / 2
-    # plus the constant c^2 |Omega| / 2
+    # plus the constant c^2 |Omega| / 2; the same evaluation's mu is the
+    # chemical potential on that solute
     spec = GridSpec(12, 7, 1.3, 0.6)
     p = ModelParams(
         chi=0.7, beta=0.8, potential=PotentialParams("logarithmic", theta=1.0, theta0=2.0)
@@ -262,9 +263,11 @@ def test_reduced_energy_is_the_free_energy_on_the_locked_solute():
     c = 0.35
     sigma = ScalarField(spec, p.chi * phi.values + c)
     want = free_energy(phi, sigma, p) - 0.5 * c**2 * spec.lx * spec.ly
-    got, nphi = stationary._reduced_energy(phi.values, spec, p)
+    got, mu, res_inf = stationary._evaluate(phi.values, spec, p, c)
     assert got == pytest.approx(want, rel=1.0e-12)
-    assert np.array_equal(nphi.values, nonlocal_potential(phi)[0].values)
+    want_mu = chd.chemical_potential(phi, sigma, p).values
+    assert np.max(np.abs(mu - want_mu)) <= 1.0e-12 * np.max(np.abs(want_mu))
+    assert res_inf == np.max(np.abs(mu - mu.mean()))
 
 
 def test_stationary_non_convergence_reports(monkeypatch):
