@@ -18,7 +18,7 @@ enforced to rounding by recentering the solver output.  The nonlocal
 term ``N`` and the solute's implicit diffusion are exact cosine-transform
 solves (:mod:`chns.elliptic`).
 
-The nonlinear cell system is solved by a damped inexact Newton
+The nonlinear cell system is solved by an inexact Newton
 iteration.  After eliminating ``mu`` the Jacobian is ``J x = x/dt +
 lap(lap x - d x)`` with ``d = psi0''(phi) + gamma/dt``; it is applied
 matrix-free and inverted by GMRES, right-preconditioned with the
@@ -41,7 +41,10 @@ Newton Methods for Nonlinear Problems, Springer 2004) shows that the next
 update would be below rounding.  For the logarithmic potential a barrier
 safeguard rescales any update so that no cell moves more than 90 percent
 of its remaining distance to ``+-1``, which keeps every iterate strictly
-inside the physical interval.
+inside the physical interval.  That scale is the only damping: the
+update is taken as scaled, with no line search on the residual norm,
+which affine-invariant Newton theory (Deuflhard) gives no reason to
+trust for a damped step.
 """
 
 from __future__ import annotations
@@ -294,12 +297,14 @@ def _newton_update(
     dt: float,
     gd: float,
     it: int,
-) -> tuple[np.ndarray, float, int]:
+) -> tuple[np.ndarray, float, float, int]:
     """Newton iteration ``it`` at ``phi`` against the residual ``r``: the
     Krylov solve of ``J delta = -r`` (:func:`_jacobian_solve`, ``d =
-    psi0''(phi) + gd``) and, under the logarithmic potential, the barrier
-    scale of ``delta`` (:func:`_barrier_scale`; 1 otherwise).  Returns
-    ``(delta, scale, gmres_iterations)``; raises :class:`NewtonError` when
+    psi0''(phi) + gd``) and the new iterate ``phi + s delta``.  Under the
+    logarithmic potential ``s`` is the barrier scale of ``delta``
+    (:func:`_barrier_scale`) and the iterate is clamped to
+    ``+-``:data:`_INTERIOR_CAP`; otherwise ``s = 1``.  Returns ``(iterate,
+    max|delta|, s, gmres_iterations)``; raises :class:`NewtonError` when
     GMRES stops above its target or at a non-finite residual."""
     d = pot.psi0_second(phi, pparams) + gd
     delta, gmres_iters, gmres_res = _jacobian_solve(spec, d, dt, -r)
@@ -309,8 +314,12 @@ def _newton_update(
             f"residual {gmres_res:.3e} (target {GMRES_FORCING:.1e}) after "
             f"{gmres_iters} iterations"
         )
-    s = _barrier_scale(phi, delta) if pparams.variant == "logarithmic" else 1.0
-    return delta, s, gmres_iters
+    barrier = pparams.variant == "logarithmic"
+    s = _barrier_scale(phi, delta) if barrier else 1.0
+    out = phi + s * delta
+    if barrier:
+        np.clip(out, -_INTERIOR_CAP, _INTERIOR_CAP, out=out)
+    return out, float(np.max(np.abs(delta))), s, gmres_iters
 
 
 def _newton_solve(
@@ -327,11 +336,11 @@ def _newton_solve(
     chemical potential (:func:`_scheme_mu`) by :func:`_newton_update` steps
     and recenter to ``m_target``.
 
-    A damped update that fails to reduce the residual is halved, at most
-    five times.  Stops at the residual target or once the update is below
-    rounding (:data:`_UPDATE_FLOOR`), since on fine grids or long steps the
-    residual's rounding floor, relative to ``|rhs|`` about ``eps dt max
-    eig(lap^2)``, lies above the target.  It also stops after an update
+    Each update is taken at its barrier scale as it stands: no line search
+    judges it by the residual.  Stops at the residual target or once the
+    update is below rounding (:data:`_UPDATE_FLOOR`), since on fine grids
+    or long steps the residual's rounding floor, relative to ``|rhs|``
+    about ``eps dt max eig(lap^2)``, lies above the target.  It also stops after an update
     once the next one is sure to be below rounding: when two updates in a
     row were taken undamped and their size ratio ``theta = max|delta_k| /
     max|delta_{k-1}|`` is below 1/2, the error left after ``delta_k`` is at
@@ -343,7 +352,6 @@ def _newton_solve(
     residual, barrier_activations, gmres_iterations)``.
     """
     area = spec.cell_area
-    barrier = pparams.variant == "logarithmic"
     gd = gamma / dt
 
     def residual(phi: np.ndarray) -> np.ndarray:
@@ -374,25 +382,16 @@ def _newton_solve(
                 f"(target {tol:.3e}) after {NEWTON_MAX_ITER} iterations"
             )
         it += 1
-        delta, s, gmres_iters = _newton_update(spec, pparams, phi, r, dt, gd, it)
+        phi_new, step, s, gmres_iters = _newton_update(spec, pparams, phi, r, dt, gd, it)
         linear += gmres_iters
-        step = float(np.max(np.abs(delta)))
         floor = _UPDATE_FLOOR * max(1.0, float(np.max(np.abs(phi))))
         if step <= floor:
             break
         if s < 1.0:
             clipped += 1
-        # fall back to halving if the damped update fails to reduce the residual
-        for _ in range(5):
-            phi_try = phi + s * delta
-            if barrier:
-                np.clip(phi_try, -_INTERIOR_CAP, _INTERIOR_CAP, out=phi_try)
-            r_try = residual(phi_try)
-            res_try = norm(r_try)
-            if res_try < res or s < 1.0e-3:
-                break
-            s *= 0.5
-        phi, r, res = phi_try, r_try, res_try
+        phi = phi_new
+        r = residual(phi)
+        res = norm(r)
         theta = step / prev_step if prev_step else 1.0
         if s == 1.0 and theta < 0.5 and theta / (1.0 - theta) * step <= floor:
             break

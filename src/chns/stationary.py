@@ -45,14 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import potential as pot
-from .chd import (
-    _INTERIOR_CAP,
-    ModelParams,
-    NewtonError,
-    _newton_update,
-    _scheme_mu,
-    nonlocal_potential,
-)
+from .chd import ModelParams, NewtonError, _newton_update, _scheme_mu, nonlocal_potential
 from .coupled import INIT_MARGIN
 from .elliptic import SolverConfig, SolverError
 from .grid import ScalarField, grad_norm_sq, inner_raw, integrate, laplacian_raw, mean
@@ -134,17 +127,15 @@ def _newton_solve(
     """One pseudo-step: a single :func:`~chns.chd._newton_update` of
     ``(phi' - phi)/dtau = lap mu'`` from ``phi``, where ``mu`` is the
     scheme's chemical potential at ``phi`` and ``gd = gamma/dtau``, taken
-    at its barrier scale and recentered to ``m_target``.
+    at its barrier scale, as the coupled Newton loop takes it, and
+    recentered to ``m_target``.
 
     Returns the tuple of :func:`chns.chd._newton_solve`, ``(phi, 1, nan,
     barrier_activations, gmres_iterations)``: no residual is evaluated
     after the update.  The benchmark (``perfbench/child.py``) counts calls
     of this name as pseudo-steps.
     """
-    delta, s, linear = _newton_update(spec, pparams, phi, -laplacian_raw(spec, mu), dtau, gd, 1)
-    out = phi + s * delta
-    if pparams.variant == "logarithmic":
-        np.clip(out, -_INTERIOR_CAP, _INTERIOR_CAP, out=out)
+    out, _, s, linear = _newton_update(spec, pparams, phi, -laplacian_raw(spec, mu), dtau, gd, 1)
     return out + (m_target - out.mean()), 1, float("nan"), int(s < 1.0), linear
 
 

@@ -483,6 +483,20 @@ def test_strict_phase_bound_and_safeguard():
     phi_new, _, rep = ch_step(phi, sigma, MacVelocity.zeros(spec), p, 0.2)
     assert rep.clipped_steps >= 1
     assert np.max(np.abs(phi_new.values)) <= 1.0 - 1.0e-12
+    # taken as they stand, the barrier-scaled updates converge in 9 Newton
+    # iterations; halving them whenever the residual grows took 29
+    assert rep.newton_iters <= 10
+
+
+def test_newton_iteration_cap_reports(monkeypatch):
+    # the strict-phase-bound step needs more than three Newton iterations
+    spec = GridSpec(8, 8)
+    p = ModelParams(chi=4.0, potential=LOG)
+    phi = ScalarField(spec, 0.95 * cosine_mode(spec))
+    sigma = ScalarField(spec, 3.0 * cosine_mode(spec))
+    monkeypatch.setattr(chd, "NEWTON_MAX_ITER", 3)
+    with pytest.raises(NewtonError, match=r"did not converge: residual .* after 3 iterations"):
+        ch_step(phi, sigma, MacVelocity.zeros(spec), p, 0.2)
 
 
 def test_newton_failure_reports():

@@ -31,7 +31,7 @@ from chns.cli import (
     write_snapshot,
 )
 from chns.coupled import RunConfig, ScenarioConfig, initial_state
-from chns.diagnostics import LEDGER_FIELDS, LedgerRow
+from chns.diagnostics import LEDGER_FIELDS, LedgerRow, separation
 from chns.elliptic import SolverError
 from chns.grid import GridSpec, MacVelocity, ScalarField, laplacian_raw
 from chns.hydro import CflError
@@ -739,6 +739,40 @@ def test_non_finite_ledger_exits_one(tmp_path, capsys, overrides):
     assert "Traceback" not in err
     assert re.fullmatch(r"invariant failure: non-finite ledger value in \w+ at step 0\n", err)
     assert (out / "ledger.csv").is_file() and (out / "final.bin").is_file()
+
+
+@pytest.mark.parametrize("override", ["params.chi=1e200", "scenario.sigma_mean=1e200"])
+def test_failing_run_writes_one_stderr_line(tmp_path, override):
+    # in process pytest captures numpy's overflow warnings, so only a child
+    # process shows whether they reach stderr ahead of the failure line
+    proc = subprocess.run(
+        [sys.executable, "-m", "chns", "run", *SMALL_RUN, "--set", override],
+        cwd=tmp_path,
+        env=subprocess_env(),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode in (1, 3)
+    assert proc.stderr.count("\n") == 1
+    assert re.match(r"(solver|invariant) failure: ", proc.stderr)
+
+
+def test_phase_bound_is_gated_over_every_step(tmp_path, capsys, monkeypatch):
+    # the separation study looks at the last 20 percent of the rows only;
+    # the gate must also see a margin lost early in the run
+    ledger_run = cli.run
+
+    def early_contact(cfg, **kwargs):
+        final, rows = ledger_run(cfg, **kwargs)
+        rows[1] = replace(rows[1], sep_delta=0.0)
+        assert separation(rows).window_start > 1
+        return final, rows
+
+    monkeypatch.setattr(cli, "run", early_contact)
+    cfg = write_config(tmp_path, QUICK)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "phase bound violated" in capsys.readouterr().err
 
 
 # stationary and ratefit commands

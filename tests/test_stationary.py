@@ -223,8 +223,7 @@ def test_newton_reuses_the_residual_chemical_potential(monkeypatch):
     nphi = nonlocal_potential(ScalarField(spec, phi))[0].values
     g_expl = -theta_eff * phi - p.chi * sigma_const + p.beta * nphi
     chd._newton_solve(spec, pparams, phi, dtau, -theta_eff * dtau, g_expl, 0.0, m_target)
-    delta, s, _ = updates[0]
-    first = phi + s * delta
+    first = updates[0][0]
     assert np.array_equal(pseudo[0], first + (m_target - first.mean()))
 
 
