@@ -322,6 +322,16 @@ def _newton_update(
     return out, float(np.max(np.abs(delta))), s, gmres_iters
 
 
+def _recenter(phi: np.ndarray, m_target: float, pparams: PotentialParams) -> np.ndarray:
+    """``phi`` shifted onto the mean ``m_target`` and, under the logarithmic
+    potential, then clamped to ``+-``:data:`_INTERIOR_CAP`: the shift may
+    carry a clamped cell to or past ``+-1``, where ``psi`` is undefined."""
+    out = phi + (m_target - phi.mean())
+    if pparams.variant == "logarithmic":
+        np.clip(out, -_INTERIOR_CAP, _INTERIOR_CAP, out=out)
+    return out
+
+
 def _newton_solve(
     spec: GridSpec,
     pparams: PotentialParams,
@@ -334,7 +344,7 @@ def _newton_solve(
 ) -> tuple[np.ndarray, int, float, int, int]:
     """Solve ``(phi - phi0)/dt + b_expl = lap mu`` with ``mu`` the scheme's
     chemical potential (:func:`_scheme_mu`) by :func:`_newton_update` steps
-    and recenter to ``m_target``.
+    and recenter to ``m_target`` (:func:`_recenter`).
 
     Each update is taken at its barrier scale as it stands: no line search
     judges it by the residual.  Stops at the residual target or once the
@@ -396,7 +406,7 @@ def _newton_solve(
         if s == 1.0 and theta < 0.5 and theta / (1.0 - theta) * step <= floor:
             break
         prev_step = step if s == 1.0 else None
-    return phi + (m_target - phi.mean()), it, res, clipped, linear
+    return _recenter(phi, m_target, pparams), it, res, clipped, linear
 
 
 def ch_step(

@@ -184,13 +184,13 @@ def initial_state(cfg: RunConfig) -> SimState:
 
 
 def cfl_dt(vel: MacVelocity, base_dt: float, safety: float) -> float:
-    """Advective step bound: ``min(base_dt, safety * h_min / |vel|_inf)``
-    with a floor on the velocity scale so a quiescent flow returns the
-    base step."""
+    """Advective step bound: ``min(base_dt, safety * h_min / |vel|_inf)``,
+    and ``base_dt`` when the fluid is at rest."""
+    vmax = vel.max_abs()
+    if vmax == 0.0:
+        return base_dt
     spec = vel.grid
-    h_min = min(spec.hx, spec.hy)
-    vmax = max(vel.max_abs(), 1.0e-12)
-    return min(base_dt, safety * h_min / vmax)
+    return min(base_dt, safety * min(spec.hx, spec.hy) / vmax)
 
 
 def coupled_step(state: SimState, p: ModelParams, dt: float) -> tuple[SimState, ChdStepReport]:
@@ -216,16 +216,17 @@ def run(cfg: RunConfig, on_record=None) -> tuple[SimState, list]:
     if on_record is not None:
         on_record(state)
     step = coupled_step if cfg.scenario.evolves_velocity else chd_step
+    # a time within rounding of t_end counts as reaching it
+    t_stop = cfg.t_end - 1.0e-12 * max(cfg.t_end, 1.0)
 
-    while state.t < cfg.t_end - 1.0e-12 * max(cfg.t_end, 1.0):
-        dt = cfl_dt(state.vel, cfg.dt, cfg.cfl_safety)
-        dt = min(dt, cfg.t_end - state.t)
+    while state.t < t_stop:
+        dt = min(cfl_dt(state.vel, cfg.dt, cfg.cfl_safety), cfg.t_end - state.t)
         try:
             state, report = step(state, cfg.params, dt)
         except SolverError as exc:
             raise type(exc)(f"{exc} (step {state.step + 1}, t = {state.t!r})") from exc
         rows.append(ledger_row(state, cfg.params, prev=rows[-1], dt=dt, report=report))
-        final = state.t >= cfg.t_end - 1.0e-12 * max(cfg.t_end, 1.0)
+        final = state.t >= t_stop
         periodic = cfg.cadence > 0 and state.step % cfg.cadence == 0
         if on_record is not None and (periodic or final):
             on_record(state)

@@ -23,8 +23,15 @@ switched evolution relaxation (Mulder & van Leer, AIAA 85-1519) scales
 ``dtau`` by the ratio of the previous residual to the new one, under two
 caps: ``1/|beta|`` for the explicit nonlocal term, and, wherever ``mean d
 = mean psi0''(phi) - theta_eff`` is negative, ``0.99 * 4 / (mean d)^2``,
-which keeps the preconditioner symbol ``1/dtau + lam (lam + mean d)``
-positive.  An energy check is the only safeguard: a pseudo-step that
+under which ``1/dtau + lam (lam + mean d)`` is positive for every ``lam >=
+0``.  On the unit box the discrete symbol is positive without that cap,
+since its first nonzero ``lam`` is about ``pi^2`` and ``|mean d|`` about 1,
+yet the cap still binds there.  Its job shows on larger boxes, where
+unstable modes have ``lam < |mean d|``: a longer pseudo-step flips and
+shrinks them instead of growing them, and a spinodal seed lands on the
+unstable uniform critical point (48^2 with ``lx = 10``: 3 pseudo-steps
+to the uniform energy instead of 29 to a separated equilibrium).  An
+energy check is the only safeguard: a pseudo-step that
 raises the reduced energy by more than rounding is rejected and ``dtau``
 cut by 4.  When over :data:`STALL_STEPS` accepted pseudo-steps the
 residual has not halved and the energy has not fallen, the residual sits
@@ -45,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import potential as pot
-from .chd import ModelParams, NewtonError, _newton_update, _scheme_mu, nonlocal_potential
+from .chd import ModelParams, NewtonError, _newton_update, _recenter, _scheme_mu, nonlocal_potential
 from .coupled import INIT_MARGIN
 from .elliptic import SolverConfig, SolverError
 from .grid import ScalarField, grad_norm_sq, inner_raw, integrate, laplacian_raw, mean
@@ -128,7 +135,7 @@ def _newton_solve(
     ``(phi' - phi)/dtau = lap mu'`` from ``phi``, where ``mu`` is the
     scheme's chemical potential at ``phi`` and ``gd = gamma/dtau``, taken
     at its barrier scale, as the coupled Newton loop takes it, and
-    recentered to ``m_target``.
+    recentered to ``m_target`` (:func:`~chns.chd._recenter`).
 
     Returns the tuple of :func:`chns.chd._newton_solve`, ``(phi, 1, nan,
     barrier_activations, gmres_iterations)``: no residual is evaluated
@@ -136,7 +143,7 @@ def _newton_solve(
     of this name as pseudo-steps.
     """
     out, _, s, linear = _newton_update(spec, pparams, phi, -laplacian_raw(spec, mu), dtau, gd, 1)
-    return out + (m_target - out.mean()), 1, float("nan"), int(s < 1.0), linear
+    return _recenter(out, m_target, pparams), 1, float("nan"), int(s < 1.0), linear
 
 
 def solve_stationary(

@@ -636,11 +636,8 @@ def test_model_params_validation():
         ModelParams(gamma=-1.0)
     with pytest.raises(ValueError, match=r"violates \(H3\): c0"):
         ModelParams(c0=1.0)
-    with pytest.raises(ValueError, match="dt"):
-        ch_step(
-            ScalarField.zeros(GridSpec(4, 4)),
-            ScalarField.zeros(GridSpec(4, 4)),
-            MacVelocity.zeros(GridSpec(4, 4)),
-            ModelParams(),
-            0.0,
-        )
+    zero = ScalarField.zeros(GridSpec(4, 4))
+    rest = MacVelocity.zeros(GridSpec(4, 4))
+    for step in (ch_step, sigma_step):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            step(zero, zero, rest, ModelParams(), 0.0)

@@ -326,6 +326,9 @@ def test_ledger_non_numeric_field_rejected(tmp_path):
     path.write_text(",".join(LEDGER_FIELDS) + "\n" + ",".join(record) + "\n")
     with pytest.raises(ConfigError, match="not a number"):
         read_ledger_csv(path)
+    path.write_text(",".join(LEDGER_FIELDS) + "\n" + ",".join(record[:-1]) + "\n")
+    with pytest.raises(ConfigError, match=f"ledger row with {len(LEDGER_FIELDS) - 1} fields"):
+        read_ledger_csv(path)
 
 
 # snapshots
@@ -459,15 +462,6 @@ def test_run_writes_ledger_and_final(tmp_path, capsys):
     final = read_snapshot(out / "final.bin")
     assert final.grid == GridSpec(16, 16)
     assert "run: 5 steps" in capsys.readouterr().out
-
-
-def test_run_is_byte_reproducible(tmp_path):
-    cfg = write_config(tmp_path, QUICK)
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main(["run", "--config", cfg, "--out", str(out_a)]) == 0
-    assert main(["run", "--config", cfg, "--out", str(out_b)]) == 0
-    for name in ("ledger.csv", "final.bin"):
-        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
 def test_run_seed_flag_changes_trajectory(tmp_path):
@@ -827,6 +821,23 @@ def test_stationary_krylov_failure_names_the_pseudo_step(tmp_path, capsys, monke
     assert not (out / "equilibrium.bin").exists()
 
 
+@pytest.mark.parametrize("chi", ["10", "30"])
+def test_stationary_breakdown_is_a_solver_failure(tmp_path, capsys, chi):
+    # the seed is admissible and the pseudo-steps at this chi break down: a
+    # solver failure, even where shifting a clamped iterate onto the pinned
+    # mean would carry a cell to +-1
+    grid = ["--set", "grid.nx=8", "--set", "grid.ny=8"]
+    out = tmp_path / "base"
+    assert main(["run", *grid, "--set", "time.t_end=0.01", "--out", str(out)]) == 0
+    capsys.readouterr()
+    argv = ["stationary", *grid, "--set", f"params.chi={chi}"]
+    assert main([*argv, "--seed-snapshot", str(out / "final.bin")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert re.fullmatch(r"solver failure: .* \(pseudo-step \d+, dtau = \S+\)\n", err)
+    assert not (out / "equilibrium.bin").exists()
+
+
 def test_stationary_seed_mean_outside_phase_interval_exits_two(tmp_path, rng, capsys):
     # with alpha = 0 the seed's own mean is pinned, and no state of the
     # logarithmic potential has a mean of 1.2
@@ -935,6 +946,22 @@ def test_ratefit_needs_three_snapshots(tmp_path, rng, capsys):
         assert "at least 3" in capsys.readouterr().err
 
 
+def test_ratefit_refusals_exit_codes(tmp_path, rng, capsys):
+    cfg = write_config(tmp_path, QUICK + "\n[output]\ncadence = 2\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    # an equilibrium on another grid is bad input
+    other = tmp_path / "other.bin"
+    write_snapshot(other, random_state(GridSpec(8, 8), rng))
+    assert main(["ratefit", "--snapshots", str(out), "--equilibrium", str(other)]) == 2
+    assert "grid does not match the equilibrium snapshot" in capsys.readouterr().err
+    # the run's own final state zeroes the last deficit, and the fit is refused
+    assert main(["ratefit", "--snapshots", str(out), "--equilibrium", str(out / "final.bin")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("rate fit refused: ")
+
+
 def test_run_stationary_ratefit_pipeline(tmp_path, capsys):
     # a sub-critical spinodal seed relaxes back to the uniform state, so
     # the deficit decays monotonically and the fit flags it as faster
@@ -984,13 +1011,17 @@ def test_check_command_passes(tmp_path, capsys):
     assert out.count("OK  ") == 6
 
 
-def test_run_checks_reports_broken_tolerance(monkeypatch):
+def test_run_checks_reports_broken_tolerance(monkeypatch, capsys):
     cfg = parse_config(None, ["grid.nx=16", "grid.ny=16"])
     monkeypatch.setattr(cli, "ADJOINTNESS_TOL", 0.0)
     results = run_checks(cfg)
     by_name = {name: ok for name, ok, _ in results}
     assert by_name["gradient-divergence adjointness"] is False
     assert all(ok for name, ok in by_name.items() if name != "gradient-divergence adjointness")
+    capsys.readouterr()
+    assert main(["check", "--set", "grid.nx=16", "--set", "grid.ny=16"]) == 1
+    err = capsys.readouterr().err
+    assert err == "invariant failure: gradient-divergence adjointness\n"
 
 
 @pytest.mark.parametrize("tol", ["SIGMA_DRIFT_TOL", "PHI_DEV_TOL"])

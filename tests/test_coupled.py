@@ -57,6 +57,8 @@ def test_rest_state_is_fixed_point():
 def test_cfl_dt_arithmetic():
     spec = GridSpec(10, 10)
     assert cfl_dt(MacVelocity.zeros(spec), 0.3, 0.5) == 0.3
+    # a fluid at rest sets no bound, however long the base step
+    assert cfl_dt(MacVelocity.zeros(spec), 1.0e12, 0.5) == 1.0e12
     u = np.zeros((11, 10))
     u[5, 3] = 2.0
     vel = MacVelocity(spec, u, np.zeros((10, 11)))

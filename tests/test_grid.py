@@ -27,6 +27,7 @@ from chns.grid import (
     laplacian_raw,
     mean,
 )
+from chns.state import SimState
 
 
 def random_field(spec, rng):
@@ -240,6 +241,8 @@ def test_grid_validation():
     spec = GridSpec(4, 4)
     with pytest.raises(ValueError, match="shape"):
         ScalarField(spec, np.zeros((4, 5)))
+    with pytest.raises(ValueError, match="face shapes"):
+        MacVelocity(spec, np.zeros((4, 4)), np.zeros((4, 5)))
     u = np.ones((5, 4))
     with pytest.raises(ValueError, match="exactly zero"):
         MacVelocity(spec, u, np.zeros((4, 5)))
@@ -254,6 +257,8 @@ def test_grid_mismatch_raises(rng):
         l2_inner(a, b)
     with pytest.raises(GridMismatchError):
         advect_scalar(MacVelocity.zeros(GridSpec(4, 4)), b)
+    with pytest.raises(ValueError, match="different grids"):
+        SimState(MacVelocity.zeros(GridSpec(4, 4)), a, a, b, a)
 
 
 def test_coordinate_arrays():

@@ -250,6 +250,46 @@ def test_large_box_droplet_converges_instead_of_freezing():
     assert np.max(np.abs(eq.phi.values)) <= 1.0e-9
 
 
+def test_large_box_spinodal_separates_through_a_rejected_pseudo_step(monkeypatch):
+    # on a 10 x 10 box the unstable modes have lam < |mean d|: without the
+    # 4 / (mean d)^2 cap the third pseudo-step lands on the uniform critical
+    # point, whose reduced energy is 100; with it one pseudo-step raises the
+    # energy and is taken again at a quarter of its dtau
+    cfg = RunConfig(
+        grid=GridSpec(48, 48, 10.0, 10.0),
+        params=ModelParams(chi=0.2, alpha=0.5, beta=0.2),
+        seed=4,
+    )
+    state = initial_state(cfg)
+    calls = record_newton_solves(monkeypatch)
+    eq = solve_stationary(state.phi, state.sigma, cfg.params, cfg.solver)
+
+    assert eq.iterations == len(calls) <= 40
+    retried = [
+        i for i in range(1, len(calls)) if np.array_equal(calls[i][0][2], calls[i - 1][0][2])
+    ]
+    assert len(retried) == 1
+    assert calls[retried[0]][0][3] == 0.25 * calls[retried[0] - 1][0][3]
+    assert eq.free_energy_value < 99.5
+    assert np.max(np.abs(eq.phi.values)) > 0.5
+    target = cfg.solver.rel_tol * cfg.params.theta0
+    assert eq.residual_inf <= target
+    assert recomputed_residual(eq, cfg.params) <= target
+
+
+def test_collapsed_pseudo_step_reports(monkeypatch):
+    # an energy check no pseudo-step passes cuts dtau by 4 until it collapses
+    monkeypatch.setattr(stationary, "ENERGY_ROUNDING", -1.0)
+    spec = GridSpec(16, 16)
+    p = ModelParams(chi=0.2, alpha=0.5)
+    calls = record_newton_solves(monkeypatch)
+    with pytest.raises(StationaryError, match="pseudo-step collapsed"):
+        solve_stationary(cosine_seed(spec, 0.0, 0.4), ScalarField.zeros(spec), p)
+    dtaus = [args[3] for args, _, _ in calls]
+    assert dtaus[-1] < 4.0e-12
+    assert all(b == 0.25 * a for a, b in zip(dtaus, dtaus[1:]))
+
+
 def test_reduced_energy_is_the_free_energy_on_the_locked_solute():
     # sigma = chi phi + c turns the solute terms into -chi^2 phi^2 / 2
     # plus the constant c^2 |Omega| / 2; the same evaluation's mu is the
@@ -303,6 +343,11 @@ def test_rate_fit_flags_exponential_decay():
     assert fit.flagged
     assert fit.kappa_hat >= 0.45
     assert "boundary" in fit.reason
+    # a monotone staircase is far from a power law
+    fit = rate_fit(t, np.where(t < 15.0, 1.0, 0.5))
+    assert fit.flagged
+    assert fit.kappa_hat < 0.45
+    assert fit.r_squared < 0.98 and "r^2" in fit.reason
 
 
 def test_rate_fit_refusals():
