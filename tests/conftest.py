@@ -154,9 +154,11 @@ def manufactured_problem():
     return params, samplers
 
 
+@functools.lru_cache(maxsize=None)
 def manufactured_march(n, dt, t_end):
     """March the forced transport step on an n by n grid; returns the
-    final state."""
+    final state.  Cached, so every test that asks for the same run shares
+    one march and must not modify the state it gets."""
     from chns.chd import chemical_potential, chd_step
     from chns.grid import GridSpec, MacVelocity, ScalarField
     from chns.state import SimState

@@ -464,6 +464,15 @@ def test_run_writes_ledger_and_final(tmp_path, capsys):
     assert "run: 5 steps" in capsys.readouterr().out
 
 
+def test_run_is_byte_reproducible(tmp_path):
+    cfg = write_config(tmp_path, QUICK)
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert main(["run", "--config", cfg, "--out", str(out_a)]) == 0
+    assert main(["run", "--config", cfg, "--out", str(out_b)]) == 0
+    for name in ("ledger.csv", "final.bin"):
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
 def test_run_seed_flag_changes_trajectory(tmp_path):
     cfg = write_config(tmp_path, QUICK)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
