@@ -95,6 +95,12 @@ BARRIER_MARGIN = 0.9
 # counts of an exact linear solve unchanged.
 GMRES_FORCING = 1.0e-6
 GMRES_MAX_ITER = 50
+# a Krylov solve stopped by GMRES_MAX_ITER short of its forcing term is
+# still taken when its relative residual is at most this: inexact Newton
+# converges for any forcing term bounded below 1 (Dembo, Eisenstat &
+# Steihaug, SIAM J. Numer. Anal. 19, 1982), and the Newton residual target
+# still decides when the step has converged
+GMRES_ACCEPT = 0.1
 # a Newton update below this fraction of max(1, max|phi|) is rounding: stalled
 # updates measure 9e-19 to 4.1e-15, the last productive ones 2.6e-8 and up
 _UPDATE_FLOOR = 1.0e-13
@@ -223,9 +229,9 @@ def _jacobian_solve(
     :data:`GMRES_FORCING` ``|b|``, for at most :data:`GMRES_MAX_ITER`
     iterations.  Returns ``(x, iterations, relative residual)``.
 
-    Once the Givens estimate meets the target, the residual is summed from
-    the stored products ``J z_j = v_j - lap((d - mean d) z_j)``, taken
-    before Gram-Schmidt.  It differs from ``J x - b`` recomputed from ``x``
+    Once the Givens estimate meets the target or turns NaN, the residual is
+    summed from the stored products ``J z_j = v_j - lap((d - mean d) z_j)``,
+    taken before Gram-Schmidt.  It differs from ``J x - b`` recomputed from ``x``
     only by ``J`` applied to the rounding of the preconditioner solves,
     about ``eps max(symbol) |z|``: at ``dt = 1e-3`` below ``1e-12 |b|``.
     """
@@ -260,7 +266,7 @@ def _jacobian_solve(
         g[k + 1] = -sn[k] * g[k]
         g[k] *= cs[k]
         k += 1
-        if abs(g[k]) <= GMRES_FORCING * b_norm or k == GMRES_MAX_ITER:
+        if not abs(g[k]) > GMRES_FORCING * b_norm or k == GMRES_MAX_ITER:
             y = np.zeros(k)
             for i in range(k - 1, -1, -1):
                 y[i] = (g[i] - inner_raw(hess[i, i + 1 : k], y[i + 1 :])) / hess[i, i]
@@ -271,7 +277,7 @@ def _jacobian_solve(
                 r += yi * jz
             r -= b
             rel = float(np.sqrt(inner_raw(r, r)) / b_norm)
-            if rel <= GMRES_FORCING or k == GMRES_MAX_ITER:
+            if not rel > GMRES_FORCING or k == GMRES_MAX_ITER:
                 return x, k, rel
         basis.append(w / h_next)
 
@@ -305,13 +311,13 @@ def _newton_update(
     (:func:`_barrier_scale`) and the iterate is clamped to
     ``+-``:data:`_INTERIOR_CAP`; otherwise ``s = 1``.  Returns ``(iterate,
     max|delta|, s, gmres_iterations)``; raises :class:`NewtonError` when
-    GMRES stops above its target or at a non-finite residual."""
+    GMRES stops above :data:`GMRES_ACCEPT` or at a non-finite residual."""
     d = pot.psi0_second(phi, pparams) + gd
     delta, gmres_iters, gmres_res = _jacobian_solve(spec, d, dt, -r)
-    if not gmres_res <= GMRES_FORCING:
+    if not gmres_res <= GMRES_ACCEPT:
         raise NewtonError(
             f"GMRES did not converge in Newton iteration {it}: relative "
-            f"residual {gmres_res:.3e} (target {GMRES_FORCING:.1e}) after "
+            f"residual {gmres_res:.3e} (limit {GMRES_ACCEPT:.1e}) after "
             f"{gmres_iters} iterations"
         )
     barrier = pparams.variant == "logarithmic"

@@ -69,7 +69,6 @@ __all__ = [
     "SnapshotError",
     "main",
     "parse_config",
-    "read_ledger_csv",
     "read_snapshot",
     "run_checks",
     "write_ledger_csv",
@@ -228,7 +227,7 @@ def _validated(cls, base: dict, values: dict, labels: dict):
 
 # ledger CSV
 
-#: ledger columns written and read as integers; every other column is a float
+#: ledger columns written as integers; every other column is a float
 _LEDGER_INTS = frozenset(f.name for f in fields(LedgerRow) if f.type == "int")
 
 
@@ -247,28 +246,6 @@ def write_ledger_csv(rows: list, path: str | os.PathLike) -> None:
             writer.writerow(
                 [_format_value(name, getattr(row, name)) for name in LEDGER_FIELDS]
             )
-
-
-def read_ledger_csv(path: str | os.PathLike) -> list:
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(header) != LEDGER_FIELDS:
-            raise ConfigError(f"{path}: unexpected ledger header {header}")
-        rows = []
-        for record in reader:
-            if len(record) != len(LEDGER_FIELDS):
-                raise ConfigError(f"{path}: ledger row with {len(record)} fields")
-            kwargs = {}
-            for name, raw in zip(LEDGER_FIELDS, record):
-                try:
-                    kwargs[name] = int(raw) if name in _LEDGER_INTS else float(raw)
-                except ValueError as exc:
-                    raise ConfigError(
-                        f"{path}: ledger line {reader.line_num}: {name} is not a number: {raw!r}"
-                    ) from exc
-            rows.append(LedgerRow(**kwargs))
-    return rows
 
 
 # snapshots
@@ -493,7 +470,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
                 return 1
-    # the phase bound must hold at every step, not only in separation()'s tail window
+    # the phase bound must hold at every step, not only at the end of the run
     phase_margin = min(row.sep_delta for row in rows)
     if cfg.params.potential.variant == "logarithmic" and phase_margin <= 1.0e-12:
         print("invariant failure: phase bound violated (separation margin below 1e-12)", file=sys.stderr)

@@ -40,16 +40,13 @@ __all__ = [
     "LEDGER_FIELDS",
     "LedgerRow",
     "MassReport",
-    "SeparationReport",
     "bel_residual",
     "dissipation",
     "free_energy",
     "kinetic_energy",
     "ledger_row",
     "mass_check",
-    "separation",
     "sigma_l4",
-    "total_energy",
 ]
 
 
@@ -77,9 +74,6 @@ class LedgerRow:
 
 LEDGER_FIELDS = tuple(f.name for f in fields(LedgerRow))
 
-#: Tail fraction of the ledger that :func:`separation` studies.
-SEPARATION_WINDOW = 0.2
-
 
 def kinetic_energy(state: SimState) -> float:
     return 0.5 * face_inner(state.vel, state.vel)
@@ -100,10 +94,6 @@ def free_energy(phi: ScalarField, sigma: ScalarField, p: ModelParams) -> float:
         nphi, _ = nonlocal_potential(phi)
         out += 0.5 * p.beta * l2_inner(fluct, nphi)
     return out
-
-
-def total_energy(state: SimState, p: ModelParams) -> float:
-    return kinetic_energy(state) + free_energy(state.phi, state.sigma, p)
 
 
 def dissipation(state: SimState, p: ModelParams) -> tuple[float, float, float]:
@@ -180,8 +170,6 @@ class MassReport:
     sigma_drift: float
     phi_abs_dev: float
     phi_law_rel_err: float
-    initial_deficit: float
-    final_deficit: float
 
 
 def mass_check(rows: list, p: ModelParams) -> MassReport:
@@ -198,51 +186,15 @@ def mass_check(rows: list, p: ModelParams) -> MassReport:
         raise ValueError("mass check needs at least one ledger row")
     sigma0 = rows[0].mean_sigma
     sigma_drift = max(abs(r.mean_sigma - sigma0) for r in rows)
-    expected = rows[0].mean_phi - p.c0
+    d0 = expected = rows[0].mean_phi - p.c0
     worst = 0.0
     prev_t = rows[0].t
     for r in rows[1:]:
         expected /= 1.0 + p.alpha * (r.t - prev_t)
         prev_t = r.t
         worst = max(worst, abs((r.mean_phi - p.c0) - expected))
-    d0 = rows[0].mean_phi - p.c0
     return MassReport(
         sigma_drift=sigma_drift,
         phi_abs_dev=worst,
         phi_law_rel_err=worst / max(abs(d0), 1.0e-300),
-        initial_deficit=d0,
-        final_deficit=rows[-1].mean_phi - p.c0,
-    )
-
-
-@dataclass
-class SeparationReport:
-    """Distance of the phase field from the pure phases over a run tail."""
-
-    min_margin: float
-    final_margin: float
-    running_min_nondecreasing: bool
-    window_start: int
-
-
-def separation(rows: list) -> SeparationReport:
-    """Study ``sep_delta`` over the final :data:`SEPARATION_WINDOW`
-    fraction of the run.
-
-    ``running_min_nondecreasing`` holds when the running minimum of the
-    whole run makes no new low inside the tail, the discrete analogue of
-    a margin that has stopped shrinking.
-    """
-    if not rows:
-        raise ValueError("separation check needs at least one ledger row")
-    start = max(0, int(len(rows) * (1.0 - SEPARATION_WINDOW)))
-    margins = np.array([r.sep_delta for r in rows])
-    running = np.minimum.accumulate(margins)
-    tail_running = running[start:]
-    nondecr = bool(np.all(np.diff(tail_running) >= 0.0)) if tail_running.size > 1 else True
-    return SeparationReport(
-        min_margin=float(np.min(margins[start:])),
-        final_margin=float(margins[-1]),
-        running_min_nondecreasing=nondecr,
-        window_start=start,
     )

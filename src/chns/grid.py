@@ -264,27 +264,22 @@ def laplacian_raw(spec: GridSpec, f: np.ndarray) -> np.ndarray:
     return out.reshape(nx, ny)
 
 
-def advect_raw(spec: GridSpec, u: np.ndarray, v: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Conservative transport divergence ``div(w f)`` at cell centers.
+def advect_scalar(w: MacVelocity, f: ScalarField) -> ScalarField:
+    """Conservative transport term ``div(w f)`` at cell centers for a
+    (nearly) solenoidal face field ``w``.
 
     Face values of ``f`` are centered averages; fluxes through the walls
     vanish with the normal velocity, so the result sums to zero exactly.
-    """
-    fx = np.zeros((spec.nx + 1, spec.ny))
-    fy = np.zeros((spec.nx, spec.ny + 1))
-    fx[1:-1, :] = u[1:-1, :] * 0.5 * (f[1:, :] + f[:-1, :])
-    fy[:, 1:-1] = v[:, 1:-1] * 0.5 * (f[:, 1:] + f[:, :-1])
-    return div_raw(spec, fx, fy)
-
-
-def advect_scalar(w: MacVelocity, f: ScalarField) -> ScalarField:
-    """Transport term ``div(w f)`` for a (nearly) solenoidal face field ``w``.
-
-    The result approximates ``w . grad f`` only when ``w`` is solenoidal;
-    the run ledger records ``|div w|_inf`` every step.
+    It approximates ``w . grad f`` only when ``w`` is solenoidal; the run
+    ledger records ``|div w|_inf`` every step.
     """
     _check_same_grid(w, f)
-    return ScalarField(f.grid, advect_raw(f.grid, w.u, w.v, f.values))
+    spec, vals = f.grid, f.values
+    fx = np.zeros((spec.nx + 1, spec.ny))
+    fy = np.zeros((spec.nx, spec.ny + 1))
+    fx[1:-1, :] = w.u[1:-1, :] * 0.5 * (vals[1:, :] + vals[:-1, :])
+    fy[:, 1:-1] = w.v[:, 1:-1] * 0.5 * (vals[:, 1:] + vals[:, :-1])
+    return ScalarField(spec, div_raw(spec, fx, fy))
 
 
 def integrate(f: ScalarField) -> float:

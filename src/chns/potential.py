@@ -16,7 +16,7 @@ second derivative is bounded below by a positive constant; for the
 quartic variant ``psi0'' = 3 r^2 + theta0 - 1``, so ``theta0 > 1`` is
 required there.  A variant is written out only in the kernels a run or
 a solve calls, :func:`psi`, :func:`psi0_prime` and :func:`psi0_second`;
-:func:`psi0` and :func:`psi_prime` follow from the split in one line each.
+:func:`psi_prime` follows from the split in one line.
 
 The logarithmic kernels use numpy's vectorized ``log`` and ``arctanh``:
 the entropy ``(1 - r) ln(1 - r) + (1 + r) ln(1 + r)`` is summed from two
@@ -37,7 +37,6 @@ __all__ = [
     "PotentialParams",
     "psi",
     "psi_prime",
-    "psi0",
     "psi0_prime",
     "psi0_second",
 ]
@@ -136,11 +135,6 @@ def psi0_second(r, p: PotentialParams):
     else:
         out = 3.0 * r * r + (p.theta0 - 1.0)
     return out if out.ndim else float(out)
-
-
-def psi0(r, p: PotentialParams):
-    """Convex part of the split, ``psi + (theta0/2) r^2``."""
-    return psi(r, p) + 0.5 * p.theta0 * np.square(r)
 
 
 def psi_prime(r, p: PotentialParams):

@@ -1,4 +1,5 @@
-"""Shared dense reference operators and the manufactured problem.
+"""Shared dense reference operators, a ledger reader and the manufactured
+problem.
 
 The dense operators are assembled independently of the package's stencil
 code (1D blocks plus Kronecker products, or explicit flux loops) so the
@@ -7,7 +8,9 @@ problem drives the transported phase/solute step with forcing terms
 derived symbolically from a known smooth solution.
 """
 
+import csv
 import functools
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -78,6 +81,21 @@ def dense_advection_matrix(spec, w):
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+def read_ledger(path):
+    """The rows of a ledger CSV, each value parsed back by ``int`` or
+    ``float`` as its :class:`~chns.diagnostics.LedgerRow` field is typed."""
+    from chns.diagnostics import LEDGER_FIELDS, LedgerRow
+
+    parse = {f.name: int if f.type == "int" else float for f in fields(LedgerRow)}
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        assert tuple(next(reader)) == LEDGER_FIELDS
+        return [
+            LedgerRow(**{name: parse[name](raw) for name, raw in zip(LEDGER_FIELDS, record)})
+            for record in reader
+        ]
 
 
 MMS_STREAM = 0.2

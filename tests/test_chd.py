@@ -516,6 +516,28 @@ def test_newton_update_refuses_a_non_finite_krylov_result():
         chd._newton_update(spec, LOG, np.zeros((8, 8)), r, 1.0e-3, 0.0, 1)
 
 
+@pytest.mark.parametrize("capped, raises", [(0.2, True), (0.05, False)])
+def test_newton_update_takes_a_capped_krylov_solve_below_its_limit(monkeypatch, capped, raises):
+    # a solve stopped at GMRES_MAX_ITER above its forcing term is taken as
+    # long as its relative residual is at most GMRES_ACCEPT
+    spec = GridSpec(8, 8)
+    delta = 0.01 * cosine_mode(spec)
+
+    def capped_solve(spec, d, dt, b):
+        return delta, chd.GMRES_MAX_ITER, capped
+
+    monkeypatch.setattr(chd, "_jacobian_solve", capped_solve)
+    r = np.ones((8, 8))
+    if raises:
+        limit = r"iteration 1: relative residual 2\.000e-01 \(limit 1\.0e-01\)"
+        with pytest.raises(NewtonError, match=limit):
+            chd._newton_update(spec, LOG, np.zeros((8, 8)), r, 1.0e-3, 0.0, 1)
+    else:
+        phi, step, s, iters = chd._newton_update(spec, LOG, np.zeros((8, 8)), r, 1.0e-3, 0.0, 1)
+        assert np.array_equal(phi, delta) and s == 1.0
+        assert (step, iters) == (float(np.max(np.abs(delta))), chd.GMRES_MAX_ITER)
+
+
 def test_divergent_solve_raises_newton_error_not_domain_error():
     # Barrier-clipped updates can shrink a cell's distance to +-1 below
     # one ulp, where phi + s * delta rounds onto the barrier itself.  The

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from conftest import read_ledger
 
 import chns
 from chns import chd, cli, stationary
@@ -24,14 +25,13 @@ from chns.cli import (
     SnapshotError,
     main,
     parse_config,
-    read_ledger_csv,
     read_snapshot,
     run_checks,
     write_ledger_csv,
     write_snapshot,
 )
 from chns.coupled import RunConfig, ScenarioConfig, initial_state
-from chns.diagnostics import LEDGER_FIELDS, LedgerRow, separation
+from chns.diagnostics import LEDGER_FIELDS, LedgerRow
 from chns.elliptic import SolverError
 from chns.grid import GridSpec, MacVelocity, ScalarField, laplacian_raw
 from chns.hydro import CflError
@@ -261,7 +261,7 @@ def test_empty_ledger_is_header_only(tmp_path):
     path = tmp_path / "ledger.csv"
     write_ledger_csv([], path)
     assert path.read_text().strip() == ",".join(LEDGER_FIELDS)
-    assert read_ledger_csv(path) == []
+    assert read_ledger(path) == []
 
 
 def test_ledger_round_trip_is_exact(tmp_path):
@@ -305,30 +305,9 @@ def test_ledger_round_trip_is_exact(tmp_path):
     ]
     path = tmp_path / "ledger.csv"
     write_ledger_csv(rows, path)
-    back = read_ledger_csv(path)
+    back = read_ledger(path)
     assert back == rows
     assert isinstance(back[0].step, int) and isinstance(back[0].newton_iters, int)
-
-
-def test_ledger_header_mismatch_rejected(tmp_path):
-    path = tmp_path / "ledger.csv"
-    write_ledger_csv([], path)
-    lines = path.read_text().splitlines()
-    lines[0] = lines[0].replace("kinetic", "momentum")
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ConfigError, match="ledger header"):
-        read_ledger_csv(path)
-
-
-def test_ledger_non_numeric_field_rejected(tmp_path):
-    path = tmp_path / "ledger.csv"
-    record = ["0"] + ["x"] * (len(LEDGER_FIELDS) - 1)
-    path.write_text(",".join(LEDGER_FIELDS) + "\n" + ",".join(record) + "\n")
-    with pytest.raises(ConfigError, match="not a number"):
-        read_ledger_csv(path)
-    path.write_text(",".join(LEDGER_FIELDS) + "\n" + ",".join(record[:-1]) + "\n")
-    with pytest.raises(ConfigError, match=f"ledger row with {len(LEDGER_FIELDS) - 1} fields"):
-        read_ledger_csv(path)
 
 
 # snapshots
@@ -456,7 +435,7 @@ def test_run_writes_ledger_and_final(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     assert sorted(p.name for p in out.iterdir()) == ["final.bin", "ledger.csv"]
-    rows = read_ledger_csv(out / "ledger.csv")
+    rows = read_ledger(out / "ledger.csv")
     assert len(rows) == 6  # initial row plus five steps
     assert rows[-1].step == 5
     final = read_snapshot(out / "final.bin")
@@ -695,6 +674,58 @@ def test_krylov_failure_exits_three(tmp_path, capsys, monkeypatch):
     assert err.endswith(" (step 1, t = 0.0)\n")
 
 
+def test_krylov_nan_estimate_stops_the_solve(tmp_path, capsys):
+    # the preconditioner's constant mode is 1/dt = 1e-299, so the first
+    # Krylov solve overflows; a NaN estimate must stop GMRES at once
+    # instead of idling to its iteration cap
+    argv = ["run", "--set", "grid.nx=8", "--set", "grid.ny=8", "--set", "scenario.name=drift"]
+    argv += ["--set", "scenario.drift_strength=0", "--set", "time.dt=1e299"]
+    argv += ["--set", "time.t_end=1e300", "--out", str(tmp_path / "out")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("solver failure: GMRES did not converge in Newton iteration 1")
+    assert int(re.search(r"after (\d+) iterations", err)[1]) < chd.GMRES_MAX_ITER
+
+
+def separating_config(tmp_path, beta):
+    """The README's phase-separating config (a droplet of width 1 on a
+    20 x 20 box) with Oono's term ``beta`` and a run to t = 0.1."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = readme.split("```ini\n")[2].split("```", 1)[0]
+    text = text.replace("beta = 0\n", f"beta = {beta}\n").replace("t_end = 20\n", "t_end = 0.1\n")
+    return write_config(tmp_path, text)
+
+
+def test_capped_krylov_solve_is_taken_on_the_separating_droplet(tmp_path, capsys):
+    # at beta = 1 the first Krylov solve stops at its cap at 1.8e-6, just
+    # above its forcing term; Newton still reaches its own target
+    cfg = separating_config(tmp_path, 1)
+    assert parse_config(cfg).params.beta == 1.0
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = read_ledger(out / "ledger.csv")
+    assert [row.step for row in rows] == [0, 1, 2]
+
+
+def test_capped_krylov_solve_is_taken_on_the_separating_droplet_seed(tmp_path, capsys):
+    # the t = 0 droplet seed's first pseudo-step stops GMRES at its cap at
+    # 1.2e-2; the solve still relaxes to the residual target
+    cfg = separating_config(tmp_path, 0)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--set", "time.t_end=0", "--out", str(out)]) == 0
+    code = main(["stationary", "--config", cfg, "--seed-snapshot", str(out / "final.bin")])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    run_cfg = parse_config(cfg)
+    p = run_cfg.params
+    eq = read_snapshot(out / "equilibrium.bin")
+    phi = eq.phi.values
+    r = -laplacian_raw(eq.grid, phi) + psi_prime(phi, p.potential) - p.chi * eq.sigma.values
+    assert np.max(np.abs(r - r.mean())) <= run_cfg.solver.rel_tol * p.theta0
+
+
 # the unit-box spinodal on 16^2 to t = 0.01
 SMALL_RUN = ["--set", "grid.nx=16", "--set", "grid.ny=16", "--set", "time.t_end=0.01"]
 
@@ -762,14 +793,12 @@ def test_failing_run_writes_one_stderr_line(tmp_path, override):
 
 
 def test_phase_bound_is_gated_over_every_step(tmp_path, capsys, monkeypatch):
-    # the separation study looks at the last 20 percent of the rows only;
-    # the gate must also see a margin lost early in the run
+    # the gate must see a margin lost early in the run, not only in its tail
     ledger_run = cli.run
 
     def early_contact(cfg, **kwargs):
         final, rows = ledger_run(cfg, **kwargs)
         rows[1] = replace(rows[1], sep_delta=0.0)
-        assert separation(rows).window_start > 1
         return final, rows
 
     monkeypatch.setattr(cli, "run", early_contact)
@@ -1120,7 +1149,7 @@ def test_run_is_byte_identical_without_heap_policy(tmp_path):
             timeout=300,
         )
         outputs.append([(out / name).read_bytes() for name in ("ledger.csv", "final.bin")])
-    assert len(read_ledger_csv(tmp_path / "-m" / "ledger.csv")) == 21
+    assert len(read_ledger(tmp_path / "-m" / "ledger.csv")) == 21
     assert outputs[0] == outputs[1]
 
 

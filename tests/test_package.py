@@ -1,7 +1,7 @@
 """Package-level contracts: no dead imports in ``src/chns`` or ``tests``, no
-unread parameters in ``src/chns``, no ``scipy.sparse`` in a run, and the
-names the benchmark harness in ``perfbench/`` looks up on the package and
-counts its steps by."""
+unread parameters in ``src/chns``, no public name without a caller, no
+``scipy.sparse`` in a run, and the names the benchmark harness in
+``perfbench/`` looks up on the package and counts its steps by."""
 
 import ast
 import importlib
@@ -20,7 +20,8 @@ from chns.grid import GridSpec, ScalarField
 
 PACKAGE_DIR = Path(chns.__file__).resolve().parent
 TESTS_DIR = Path(__file__).resolve().parent
-TRACING = TESTS_DIR.parent / "perfbench" / "tracing.py"
+BENCH_DIR = TESTS_DIR.parent / "perfbench"
+TRACING = BENCH_DIR / "tracing.py"
 
 
 def unused_imports(path):
@@ -106,6 +107,53 @@ def test_no_unread_parameters():
         if (path.stem, function, param) not in PINNED_UNREAD
     ]
     assert not found, "parameters never read: " + ", ".join(found)
+
+
+def references(tree, skip=None):
+    """The identifiers ``tree`` reads as a bare name or an attribute,
+    leaving out those inside the node ``skip``."""
+    inside = {id(n) for n in ast.walk(skip)} if skip is not None else set()
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Name, ast.Attribute)) and id(n) not in inside
+    }
+
+
+def definition(tree, name):
+    """The top-level statement of ``tree`` that defines ``name``, if any."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
+            return node
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        if any(isinstance(t, ast.Name) and t.id == name for t in targets):
+            return node
+    return None
+
+
+def test_every_public_name_has_a_caller():
+    # a name in a module's __all__ is used by src/chns outside its own
+    # definition, or by the benchmark harness, which pins some by name
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    bench = "\n".join(path.read_text() for path in sorted(BENCH_DIR.glob("*.py")))
+    found = []
+    for stem, tree in trees.items():
+        exported = [
+            name
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for name in ast.literal_eval(node.value)
+        ]
+        for name in exported:
+            own = definition(tree, name)
+            used = any(
+                name in references(other, own if other is tree else None)
+                for other in trees.values()
+            )
+            if not used and not re.search(rf"\b{re.escape(name)}\b", bench):
+                found.append(f"{stem}.{name}")
+    assert not found, "public names nothing in src/chns or perfbench/ uses: " + ", ".join(found)
 
 
 def sparse_modules_after(code, *args):

@@ -12,7 +12,6 @@ from chns.potential import (
     PotentialDomainError,
     PotentialParams,
     psi,
-    psi0,
     psi0_prime,
     psi0_second,
     psi_prime,
@@ -29,10 +28,15 @@ PSI_LOG_M09 = 0.6846319372140727529906
 PSI_PRIME_LOG_M09 = 0.3277805104167797699955
 
 
+def convex_part(r, p):
+    """``psi0 = psi + (theta0/2) r^2``, the convex part of the split."""
+    return psi(r, p) + 0.5 * p.theta0 * np.square(r)
+
+
 def test_frozen_logarithmic_values():
     assert psi(0.5, LOG) == pytest.approx(PSI_LOG_HALF, rel=1.0e-14)
     assert psi_prime(0.5, LOG) == pytest.approx(PSI_PRIME_LOG_HALF, rel=1.0e-14)
-    assert psi0(0.5, LOG) == pytest.approx(PSI0_LOG_HALF, rel=1.0e-14)
+    assert convex_part(0.5, LOG) == pytest.approx(PSI0_LOG_HALF, rel=1.0e-14)
     assert psi(-0.9, LOG) == pytest.approx(PSI_LOG_M09, rel=1.0e-14)
     assert psi_prime(-0.9, LOG) == pytest.approx(PSI_PRIME_LOG_M09, rel=1.0e-14)
     assert psi0_second(0.5, LOG) == pytest.approx(4.0 / 3.0, rel=1.0e-14)
@@ -40,7 +44,7 @@ def test_frozen_logarithmic_values():
 
 def test_frozen_quartic_values():
     assert psi(0.5, QUARTIC) == pytest.approx(0.140625, rel=1.0e-15)
-    assert psi0(0.5, QUARTIC) == pytest.approx(0.390625, rel=1.0e-15)
+    assert convex_part(0.5, QUARTIC) == pytest.approx(0.390625, rel=1.0e-15)
     assert psi(1.0, QUARTIC) == 0.0
     assert psi(-1.0, QUARTIC) == 0.0
 
@@ -61,10 +65,14 @@ def test_psi_at_zero():
 
 @pytest.mark.parametrize("p", [LOG, QUARTIC])
 def test_decomposition(p):
+    # psi + (theta0/2) r^2 against the closed form of the convex part
     r = np.linspace(-0.999, 0.999, 401)
-    lhs = psi(r, p)
-    rhs = psi0(r, p) - 0.5 * p.theta0 * r**2
-    assert np.max(np.abs(lhs - rhs)) <= 1.0e-13 * np.max(np.abs(lhs))
+    if p.variant == "logarithmic":
+        want = 0.5 * p.theta * ((1.0 - r) * np.log(1.0 - r) + (1.0 + r) * np.log(1.0 + r))
+        want += 0.5 * p.theta0
+    else:
+        want = 0.25 * r**4 + 0.5 * (p.theta0 - 1.0) * r**2 + 0.25
+    assert np.max(np.abs(convex_part(r, p) - want)) <= 1.0e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("p", [LOG, QUARTIC])
@@ -81,7 +89,7 @@ def test_derivative_consistency(p):
     fd = (psi(r + h, p) - psi(r - h, p)) / (2.0 * h)
     exact = psi_prime(r, p)
     assert np.max(np.abs(fd - exact)) <= 1.0e-7 * (1.0 + np.max(np.abs(exact)))
-    fd0 = (psi0(r + h, p) - psi0(r - h, p)) / (2.0 * h)
+    fd0 = (convex_part(r + h, p) - convex_part(r - h, p)) / (2.0 * h)
     assert np.max(np.abs(fd0 - psi0_prime(r, p))) <= 1.0e-7 * (
         1.0 + np.max(np.abs(psi0_prime(r, p)))
     )
@@ -154,7 +162,7 @@ def test_log_potential_values_match_xlogy_form():
     want_psi = 0.5 * p.theta * entropy_by_xlogy(r) + 0.5 * p.theta0 * (1.0 - r * r)
     want_psi0 = 0.5 * p.theta * entropy_by_xlogy(r) + 0.5 * p.theta0
     assert within_ulps(psi(r, p), want_psi, want_psi)
-    assert within_ulps(psi0(r, p), want_psi0, want_psi0)
+    assert within_ulps(convex_part(r, p), want_psi0, want_psi0)
 
 
 def test_log_potential_derivatives_match_log1p_form():
