@@ -8,7 +8,9 @@ the staggered grid of :mod:`chns.grid`:
 * the symmetric viscous stress with cell-centered normal components and
   corner shear components (corner viscosity is the arithmetic mean of
   the four adjacent cells, clamped at walls),
-* no-slip via pinned normal faces plus antisymmetric tangential ghosts.
+* no-slip via pinned normal faces plus antisymmetric tangential ghosts,
+* the face divergence of each flux and stress taken by the grid's own
+  :func:`~chns.grid.div_raw`.
 
 Time stepping treats the constant floor ``nu_f = min(nu1, nu2)`` of the
 viscosity implicitly and the remainder of the stress explicitly:
@@ -37,13 +39,7 @@ import numpy as np
 
 from .chd import ModelParams
 from .elliptic import SolverError, face_helmholtz, neumann_solve
-from .grid import (
-    GridSpec,
-    MacVelocity,
-    ScalarField,
-    div_raw,
-    grad_raw,
-)
+from .grid import GridSpec, MacVelocity, ScalarField, div_raw, grad_raw
 
 __all__ = [
     "CflError",
@@ -123,13 +119,9 @@ def viscous_stress_div(vel: MacVelocity, nu: ScalarField) -> MacVelocity:
     tyy = 2.0 * nu.values * dvy
     tau = _corner_viscosity(nu.values) * shear
     fu = np.zeros_like(u)
-    fu[1:-1, :] = (txx[1:, :] - txx[:-1, :]) / spec.hx + (
-        tau[1:-1, 1:] - tau[1:-1, :-1]
-    ) / spec.hy
+    fu[1:-1, :] = div_raw(spec, txx, tau[1:-1, :])
     fv = np.zeros_like(v)
-    fv[:, 1:-1] = (tyy[:, 1:] - tyy[:, :-1]) / spec.hy + (
-        tau[1:, 1:-1] - tau[:-1, 1:-1]
-    ) / spec.hx
+    fv[:, 1:-1] = div_raw(spec, tau[:, 1:-1], tyy)
     return MacVelocity(spec, fu, fv)
 
 
@@ -150,30 +142,17 @@ def dissipation_quadrature(vel: MacVelocity, nu: ScalarField) -> float:
 
 def _advect_momentum(spec: GridSpec, u: np.ndarray, v: np.ndarray):
     """Conservative self-transport ``div(v (x) v)`` on both face sets."""
-    # x-momentum: normal flux u^2 at cells, cross flux u v at corners
-    ubar_c = 0.5 * (u[1:, :] + u[:-1, :])
-    flux_xx = ubar_c * ubar_c
-    flux_xy = np.zeros((spec.nx + 1, spec.ny + 1))
-    vbar = 0.5 * (v[1:, :] + v[:-1, :])  # at interior-x corners
-    ubar_y = np.zeros((spec.nx - 1, spec.ny + 1))
-    ubar_y[:, 1:-1] = 0.5 * (u[1:-1, 1:] + u[1:-1, :-1])
-    flux_xy[1:-1, :] = vbar * ubar_y
+    # normal fluxes u^2, v^2 at cells; the cross flux u v at corners serves
+    # both components and vanishes on the walls
+    ubar = 0.5 * (u[1:, :] + u[:-1, :])
+    vbar = 0.5 * (v[:, 1:] + v[:, :-1])
+    uv = np.zeros((spec.nx + 1, spec.ny + 1))
+    uv[1:-1, 1:-1] = 0.5 * (v[1:, 1:-1] + v[:-1, 1:-1])
+    uv[1:-1, 1:-1] *= 0.5 * (u[1:-1, 1:] + u[1:-1, :-1])
     adv_u = np.zeros_like(u)
-    adv_u[1:-1, :] = (flux_xx[1:, :] - flux_xx[:-1, :]) / spec.hx + (
-        flux_xy[1:-1, 1:] - flux_xy[1:-1, :-1]
-    ) / spec.hy
-    # y-momentum, mirrored
-    vbar_c = 0.5 * (v[:, 1:] + v[:, :-1])
-    flux_yy = vbar_c * vbar_c
-    flux_yx = np.zeros((spec.nx + 1, spec.ny + 1))
-    ubar = 0.5 * (u[:, 1:] + u[:, :-1])  # at interior-y corners
-    vbar_x = np.zeros((spec.nx + 1, spec.ny - 1))
-    vbar_x[1:-1, :] = 0.5 * (v[1:, 1:-1] + v[:-1, 1:-1])
-    flux_yx[:, 1:-1] = ubar * vbar_x
+    adv_u[1:-1, :] = div_raw(spec, ubar * ubar, uv[1:-1, :])
     adv_v = np.zeros_like(v)
-    adv_v[:, 1:-1] = (flux_yy[:, 1:] - flux_yy[:, :-1]) / spec.hy + (
-        flux_yx[1:, 1:-1] - flux_yx[:-1, 1:-1]
-    ) / spec.hx
+    adv_v[:, 1:-1] = div_raw(spec, uv[:, 1:-1], vbar * vbar)
     return adv_u, adv_v
 
 
