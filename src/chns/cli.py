@@ -239,13 +239,16 @@ def _format_value(name: str, value) -> str:
 
 def write_ledger_csv(rows: list, path: str | os.PathLike) -> None:
     """Write the ledger with full round-trip precision."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(LEDGER_FIELDS)
-        for row in rows:
-            writer.writerow(
-                [_format_value(name, getattr(row, name)) for name in LEDGER_FIELDS]
-            )
+    try:
+        with open(path, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(LEDGER_FIELDS)
+            for row in rows:
+                writer.writerow(
+                    [_format_value(name, getattr(row, name)) for name in LEDGER_FIELDS]
+                )
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot write ledger: {_one_line(exc)}") from exc
 
 
 # snapshots
@@ -257,17 +260,20 @@ def write_snapshot(path: str | os.PathLike, state: SimState) -> None:
     header = (
         f"{SNAPSHOT_MAGIC} {spec.nx} {spec.ny} {spec.lx!r} {spec.ly!r} {state.t!r}\n"
     )
-    with open(path, "wb") as handle:
-        handle.write(header.encode("ascii"))
-        for arr in (
-            state.phi.values,
-            state.mu.values,
-            state.sigma.values,
-            state.pressure.values,
-            state.vel.u,
-            state.vel.v,
-        ):
-            handle.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    try:
+        with open(path, "wb") as handle:
+            handle.write(header.encode("ascii"))
+            for arr in (
+                state.phi.values,
+                state.mu.values,
+                state.sigma.values,
+                state.pressure.values,
+                state.vel.u,
+                state.vel.v,
+            ):
+                handle.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot write snapshot: {_one_line(exc)}") from exc
 
 
 def read_snapshot(path: str | os.PathLike) -> SimState:

@@ -12,16 +12,18 @@ the staggered grid of :mod:`chns.grid`:
 * the face divergence of each flux and stress taken by the grid's own
   :func:`~chns.grid.div_raw`.
 
-Time stepping treats the constant floor ``nu_f = min(nu1, nu2)`` of the
-viscosity implicitly and the remainder of the stress explicitly:
+Time stepping treats the constant ``nu_f = max(nu1, nu2)`` implicitly and
+the remainder of the stress explicitly:
 ``(I - dt nu_f L) v* = v + dt (F - nu_f L v)``, with ``L`` the no-slip
 component Laplacian and ``F = -div(v (x) v) + div(2 nu D v) + force`` the
 explicit terms.  Subtracting ``(I - dt nu_f L) v`` from both sides leaves
 ``(I - dt nu_f L)(v* - v) = dt F``, so the predictor is solved for its
 increment, ``v* = v + dt (I - dt nu_f L)^{-1} F``: one exact
 sine-transform Helmholtz solve per component, and no explicit
-application of ``L``.  A non-incremental pressure projection then
-enforces the discrete divergence constraint to rounding: ``lap q =
+application of ``L``.  An implicit constant below the largest viscosity
+would leave the explicit remainder only conditionally stable (Dong &
+Shen, J. Comput. Phys. 231, 2012).  A non-incremental pressure projection
+then enforces the discrete divergence constraint to rounding: ``lap q =
 div(v*) / dt``, solved exactly by a cosine transform, ``v = v* - dt grad
 q``, with ``q`` returned as the (zero-mean) pressure.
 
@@ -204,7 +206,7 @@ def ns_step(
         )
 
     nu = viscosity_field(phi, p)
-    nu_floor = min(p.nu1, p.nu2)
+    nu_floor = max(p.nu1, p.nu2)
     adv_u, adv_v = _advect_momentum(spec, vel.u, vel.v)
     visc = viscous_stress_div(vel, nu)
     force = korteweg_force(phi, mu, sigma, p)

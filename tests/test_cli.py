@@ -584,6 +584,18 @@ def test_run_out_naming_a_file_exits_two(tmp_path, capsys):
     assert err.startswith(f"error: {out}: cannot create output directory")
 
 
+@pytest.mark.parametrize("name", ["ledger.csv", "final.bin"])
+def test_run_output_file_that_cannot_be_written_exits_two(tmp_path, capsys, name):
+    # a directory in the file's place makes the write fail whoever runs it
+    cfg = write_config(tmp_path, QUICK)
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(f"error: {out / name}: cannot write")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -926,6 +938,19 @@ def test_stationary_out_naming_a_file_exits_two(tmp_path, capsys, monkeypatch):
         assert len(err.strip().splitlines()) == 1
         assert err.startswith(f"error: {out}: cannot create output directory")
     assert solves == []
+
+
+def test_stationary_output_file_that_cannot_be_written_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path, QUICK.replace("t_end = 0.1", "t_end = 0.0"))
+    seed = tmp_path / "seed"
+    assert main(["run", "--config", cfg, "--out", str(seed)]) == 0
+    (seed / "equilibrium.bin").mkdir()
+    capsys.readouterr()
+    argv = ["stationary", "--config", cfg, "--seed-snapshot", str(seed / "final.bin")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(f"error: {seed / 'equilibrium.bin'}: cannot write snapshot")
 
 
 def test_failed_stationary_solve_exits_three_and_leaves_no_directory(

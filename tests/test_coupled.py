@@ -20,7 +20,7 @@ from chns.coupled import (
     initial_state,
     run,
 )
-from chns.diagnostics import mass_check
+from chns.diagnostics import ledger_row, mass_check
 from chns.grid import GridSpec, MacVelocity, ScalarField, div_raw, mean
 from chns.hydro import ns_step
 from chns.potential import PotentialParams, psi0_prime, psi0_second
@@ -81,6 +81,70 @@ def test_coupled_step_is_the_advertised_composition(rng):
     assert np.array_equal(out.sigma.values, mid.sigma.values)
     assert np.array_equal(out.vel.u, vel_new.u)
     assert np.array_equal(out.pressure.values, pressure.values)
+
+
+def test_coupled_step_commutes_with_transposing_the_grid(rng):
+    # swapping the axes maps the problem onto itself: every stencil of the
+    # step must treat x and y alike, whatever the cell aspect ratio
+    spec = GridSpec(9, 6, 1.3, 0.7)
+    p = ModelParams(nu1=0.3, nu2=2.0, chi=0.4, beta=0.5, alpha=0.2)
+    xc, yc = spec.corner_coords()
+    psi = 0.3 / np.pi * np.sin(np.pi * xc / spec.lx) * np.sin(np.pi * yc / spec.ly)
+    psi[0, :] = psi[-1, :] = 0.0
+    psi[:, 0] = psi[:, -1] = 0.0
+    vel = MacVelocity.from_stream(spec, psi)
+    state = uniform_state(spec, 0.0, 0.0, p)
+    state.vel = vel
+    state.phi = ScalarField(spec, 0.4 * rng.uniform(-1.0, 1.0, (9, 6)))
+    state.sigma = ScalarField(spec, 0.5 * rng.uniform(-1.0, 1.0, (9, 6)))
+
+    flip = GridSpec(6, 9, 0.7, 1.3)
+    flipped = SimState(
+        vel=MacVelocity(flip, vel.v.T.copy(), vel.u.T.copy()),
+        phi=ScalarField(flip, state.phi.values.T.copy()),
+        mu=ScalarField(flip, state.mu.values.T.copy()),
+        sigma=ScalarField(flip, state.sigma.values.T.copy()),
+        pressure=ScalarField.zeros(flip),
+        t=0.0,
+        step=0,
+    )
+    out, _ = coupled_step(state, p, 0.01)
+    out_t, _ = coupled_step(flipped, p, 0.01)
+    pairs = [
+        (out_t.phi.values, out.phi.values.T),
+        (out_t.mu.values, out.mu.values.T),
+        (out_t.sigma.values, out.sigma.values.T),
+        (out_t.pressure.values, out.pressure.values.T),
+        (out_t.vel.u, out.vel.v.T),
+        (out_t.vel.v, out.vel.u.T),
+    ]
+    for got, want in pairs:
+        assert np.max(np.abs(got - want)) <= 1.0e-12 * np.max(np.abs(want))
+
+
+def test_flow_step_is_stable_for_widely_different_viscosities():
+    # an explicit stress remainder above the implicit viscosity floor
+    # amplified this droplet's velocity 100-fold per step until the step
+    # failed its CFL bound; the floor max(nu1, nu2) keeps it at rest
+    p = ModelParams(
+        nu1=0.32,
+        nu2=89.7,
+        c0=0.868,
+        gamma=0.0149,
+        potential=PotentialParams("logarithmic", theta=0.962, theta0=4.90),
+    )
+    cfg = RunConfig(
+        grid=GridSpec(16, 4, 0.0853, 4.31),
+        params=p,
+        scenario=ScenarioConfig("droplet", sigma_mean=-1.0, radius=0.312, width=0.195),
+    )
+    state = initial_state(cfg)
+    energy = [ledger_row(state, p).total_energy]
+    for _ in range(6):
+        state, _ = coupled_step(state, p, 3.7e-3)
+        assert state.vel.max_abs() <= 1.0e-6
+        energy.append(ledger_row(state, p).total_energy)
+    assert np.all(np.diff(energy) <= 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +298,7 @@ def model_h_oracle_step(spec, pparams, theta0, nu1, nu2, vel, phi0, sigma0, dt):
     mu2 = mu.reshape(phi0.shape)
     nu = np.clip(phi2, -1.0, 1.0)
     nu = 0.5 * nu1 * (1.0 + nu) + 0.5 * nu2 * (1.0 - nu)
-    nu_floor = min(nu1, nu2)
+    nu_floor = max(nu1, nu2)
     adv_u, adv_v = advect_momentum_oracle(spec, vel.u, vel.v)
     visc_u, visc_v = stress_div_oracle(spec, vel.u, vel.v, nu)
     force_u, force_v = force_oracle(spec, phi2, mu2)
@@ -306,7 +370,7 @@ def test_model_h_step_matches_dense_oracle(rng):
 
 
 def test_model_h_step_matches_dense_oracle_under_stiff_viscous_floor(rng):
-    # dt nu_floor / h^2 is about 2.2, so the implicit floor dominates the
+    # dt nu_floor / h^2 is about 6.7, so the implicit floor dominates the
     # predictor, on non-square cells of a non-square box
     check_model_h_step(rng, GridSpec(8, 6, 1.3, 0.9), nu1=1.0, nu2=3.0, dt=0.05)
 

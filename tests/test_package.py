@@ -1,5 +1,5 @@
 """Package-level contracts: no dead imports in ``src/chns`` or ``tests``, no
-unread parameters in ``src/chns``, no public name without a caller, no
+unread parameters in ``src/chns``, no top-level name without a caller, no
 ``scipy.sparse`` in a run, and the names the benchmark harness in
 ``perfbench/`` looks up on the package and counts its steps by."""
 
@@ -131,21 +131,28 @@ def definition(tree, name):
     return None
 
 
+def top_level_names(tree):
+    """The names ``tree`` defines at module level by ``def``, ``class`` or
+    assignment, leaving out dunders such as ``__all__``."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+
+
 def test_every_public_name_has_a_caller():
-    # a name in a module's __all__ is used by src/chns outside its own
-    # definition, or by the benchmark harness, which pins some by name
+    # every top-level name of a module, private ones included, is used by
+    # src/chns outside its own definition, or by the benchmark harness,
+    # which pins some by name
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE_DIR.glob("*.py"))}
     bench = "\n".join(path.read_text() for path in sorted(BENCH_DIR.glob("*.py")))
     found = []
     for stem, tree in trees.items():
-        exported = [
-            name
-            for node in tree.body
-            if isinstance(node, ast.Assign)
-            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
-            for name in ast.literal_eval(node.value)
-        ]
-        for name in exported:
+        for name in top_level_names(tree):
             own = definition(tree, name)
             used = any(
                 name in references(other, own if other is tree else None)
@@ -153,7 +160,7 @@ def test_every_public_name_has_a_caller():
             )
             if not used and not re.search(rf"\b{re.escape(name)}\b", bench):
                 found.append(f"{stem}.{name}")
-    assert not found, "public names nothing in src/chns or perfbench/ uses: " + ", ".join(found)
+    assert not found, "top-level names nothing in src/chns or perfbench/ uses: " + ", ".join(found)
 
 
 def sparse_modules_after(code, *args):
