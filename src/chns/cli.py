@@ -14,6 +14,9 @@ value re-parses to the exact double) and binary snapshots: an ASCII
 header line ``CHNS1 nx ny lx ly t`` followed by the fields phi, mu,
 sigma, pressure, u-faces, v-faces as row-major little-endian float64.
 Runs are byte-for-byte reproducible for a fixed configuration and seed.
+``run`` and ``stationary`` check every output before the first step or
+pseudo-step, and the output directory is made when the first file is
+written, so a command that fails before that leaves none behind.
 
 Exit codes: 0 success, 1 invariant or analysis failure, 2 usage or
 configuration error, 3 solver failure.  BLAS thread counts follow the
@@ -60,7 +63,7 @@ from .grid import (
     l2_inner,
     laplacian_raw,
 )
-from .potential import PotentialDomainError, PotentialParams
+from .potential import BOUND_MARGIN, PotentialDomainError, PotentialParams
 from .state import SimState
 from .stationary import RateFitError, deficit_norm, rate_fit, solve_stationary
 
@@ -238,8 +241,9 @@ def _format_value(name: str, value) -> str:
 
 
 def write_ledger_csv(rows: list, path: str | os.PathLike) -> None:
-    """Write the ledger with full round-trip precision."""
+    """Write the ledger with full round-trip precision, making its directory."""
     try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(LEDGER_FIELDS)
@@ -261,6 +265,7 @@ def write_snapshot(path: str | os.PathLike, state: SimState) -> None:
         f"{SNAPSHOT_MAGIC} {spec.nx} {spec.ny} {spec.lx!r} {spec.ly!r} {state.t!r}\n"
     )
     try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
         with open(path, "wb") as handle:
             handle.write(header.encode("ascii"))
             for arr in (
@@ -427,35 +432,29 @@ def run_checks(cfg: RunConfig) -> list:
 # subcommands
 
 
-def _check_output_dir(path: str | os.PathLike) -> Path:
-    """``path``, refused unless it or its nearest existing ancestor is a directory."""
+def _check_outputs(path: str | os.PathLike, *names: str) -> Path:
+    """``path``, refused unless it or its nearest existing ancestor is a
+    directory and none of the output files ``names`` in it is a directory."""
     out_dir = Path(path)
     existing = next(q for q in (out_dir, *out_dir.parents) if os.path.exists(q))
     if not os.path.isdir(existing):
         raise ConfigError(f"{out_dir}: cannot create output directory: {existing} is not a directory")
-    return out_dir
-
-
-def _output_dir(path: str | os.PathLike) -> Path:
-    """Create the output directory ``path`` if need be and return it."""
-    out_dir = Path(path)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"{out_dir}: cannot create output directory: {_one_line(exc)}") from exc
+    for name in names:
+        if os.path.isdir(out_dir / name):
+            what = "ledger" if name.endswith(".csv") else "snapshot"
+            raise ConfigError(f"{out_dir / name}: cannot write {what}: it is a directory")
     return out_dir
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     seed = [] if args.seed is None else [f"scenario.seed={args.seed}"]
     cfg = parse_config(args.config, args.overrides + seed)
-    out_dir = _output_dir(args.out_dir or "chns_out")
+    out_dir = _check_outputs(args.out_dir or "chns_out", "ledger.csv", "final.bin")
 
     def record(state: SimState) -> None:
-        if cfg.cadence > 0:
-            write_snapshot(out_dir / f"snap_{state.step:08d}.bin", state)
+        write_snapshot(out_dir / f"snap_{state.step:08d}.bin", state)
 
-    final, rows = run(cfg, on_record=record)
+    final, rows = run(cfg, on_record=record if cfg.cadence > 0 else None)
     write_ledger_csv(rows, out_dir / "ledger.csv")
     write_snapshot(out_dir / "final.bin", final)
 
@@ -478,7 +477,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 return 1
     # the phase bound must hold at every step, not only at the end of the run
     phase_margin = min(row.sep_delta for row in rows)
-    if cfg.params.potential.variant == "logarithmic" and phase_margin <= 1.0e-12:
+    if cfg.params.potential.variant == "logarithmic" and phase_margin <= BOUND_MARGIN:
         print("invariant failure: phase bound violated (separation margin below 1e-12)", file=sys.stderr)
         return 1
     if not _mass_laws_hold(report):
@@ -494,12 +493,11 @@ def _cmd_stationary(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"snapshot grid {state.grid} does not match configured grid {cfg.grid}"
         )
-    out_dir = _check_output_dir(args.out_dir or Path(args.seed_snapshot).parent)
+    out_dir = _check_outputs(args.out_dir or Path(args.seed_snapshot).parent, "equilibrium.bin")
     try:
         eq = solve_stationary(state.phi, state.sigma, cfg.params, cfg.solver)
     except PotentialDomainError as exc:
         raise ConfigError(f"{args.seed_snapshot}: {exc}") from exc
-    _output_dir(out_dir)
     eq_state = SimState(
         vel=MacVelocity.zeros(cfg.grid),
         phi=eq.phi,

@@ -25,6 +25,7 @@ from .diagnostics import LedgerRow, ledger_row
 from .elliptic import SolverConfig, SolverError
 from .grid import GridSpec, MacVelocity, ScalarField, check_finite
 from .hydro import ns_step
+from .potential import INIT_MARGIN
 from .state import SimState
 
 __all__ = [
@@ -35,9 +36,6 @@ __all__ = [
     "initial_state",
     "run",
 ]
-
-#: Phase values from scenario initializers stay at least this far from +-1.
-INIT_MARGIN = 1.0e-3
 
 _SCENARIOS = ("spinodal", "droplet", "drift")
 

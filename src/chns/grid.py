@@ -192,9 +192,7 @@ class MacVelocity:
         return cls(grid, u, v)
 
     def max_abs(self) -> float:
-        mu = float(np.max(np.abs(self.u))) if self.u.size else 0.0
-        mv = float(np.max(np.abs(self.v))) if self.v.size else 0.0
-        return max(mu, mv)
+        return max(float(np.max(np.abs(self.u))), float(np.max(np.abs(self.v))))
 
 
 def _check_same_grid(a, b) -> None:

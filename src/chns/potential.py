@@ -48,6 +48,11 @@ class PotentialDomainError(ValueError):
 
 _VARIANTS = ("logarithmic", "quartic")
 
+#: Phase values from scenario initializers stay at least this far from +-1.
+INIT_MARGIN = 1.0e-3
+#: A logarithmic phase field this close to +-1 counts as touching the bound.
+BOUND_MARGIN = 1.0e-12
+
 
 @dataclass(frozen=True)
 class PotentialParams:

@@ -53,7 +53,6 @@ import numpy as np
 
 from . import potential as pot
 from .chd import ModelParams, NewtonError, _newton_update, _recenter, _scheme_mu, nonlocal_potential
-from .coupled import INIT_MARGIN
 from .elliptic import SolverConfig, SolverError
 from .grid import ScalarField, grad_norm_sq, inner_raw, integrate, laplacian_raw, mean
 
@@ -157,18 +156,18 @@ def solve_stationary(
     The phase mean is pinned to ``c0`` (seed mean when ``alpha`` is
     zero); the solute follows the phase field pointwise.  The seed is
     shifted onto the pinned mean; where that leaves a cell within
-    ``1e-12`` of ``+-1`` under the logarithmic potential, its fluctuation
-    is contracted instead, ``m + lam (seed - mean seed)`` with the largest
-    ``lam`` that keeps every cell ``min(INIT_MARGIN, (1 - |m|)/2)`` inside
-    the interval.  Takes the module docstring's pseudo-steps until the
-    zero-mean equilibrium residual has max norm at most ``cfg.rel_tol *
-    theta0``.  Raises :class:`StationaryError` when over the last
-    :data:`STALL_STEPS` accepted pseudo-steps the residual has not halved
-    and the energy has not fallen, when ``dtau`` collapses below
-    ``1e-12``, after :data:`MAX_FLOW_ITER` pseudo-steps, or at once when
-    ``theta0 + chi^2`` is so large that the first ``dtau`` overflows.  A
-    :class:`~chns.chd.NewtonError` from a pseudo-step is raised again with
-    ``(pseudo-step N, dtau = X)`` appended to its message.  Raises
+    ``BOUND_MARGIN`` of ``+-1`` under the logarithmic potential, its
+    fluctuation is contracted instead, ``m + lam (seed - mean seed)`` with
+    the largest ``lam`` that keeps every cell ``min(INIT_MARGIN, (1 -
+    |m|)/2)`` inside the interval.  Takes the module docstring's
+    pseudo-steps until the zero-mean equilibrium residual has max norm at
+    most ``cfg.rel_tol * theta0``.  Raises :class:`StationaryError` when
+    over the last :data:`STALL_STEPS` accepted pseudo-steps the residual
+    has not halved and the energy has not fallen, when ``dtau`` collapses
+    below ``1e-12``, after :data:`MAX_FLOW_ITER` pseudo-steps, or at once
+    when ``theta0 + chi^2`` is so large that the first ``dtau`` overflows.
+    A :class:`~chns.chd.NewtonError` from a pseudo-step is raised again
+    with ``(pseudo-step N, dtau = X)`` appended to its message.  Raises
     :class:`~chns.potential.PotentialDomainError` when the pinned mean
     itself lies outside the logarithmic potential's interval.
     ``free_energy_value`` is the reduced energy of the result plus
@@ -180,13 +179,13 @@ def solve_stationary(
     sigma_const = mean(sigma_seed) - p.chi * m_target
 
     phi = phi_seed.values + (m_target - phi_seed.values.mean())
-    if p.potential.variant == "logarithmic" and not np.max(np.abs(phi)) < 1.0 - 1.0e-12:
+    if p.potential.variant == "logarithmic" and not np.max(np.abs(phi)) < 1.0 - pot.BOUND_MARGIN:
         if not abs(m_target) < 1.0:
             raise pot.PotentialDomainError(
                 f"the seed's phase mean {m_target!r} lies outside the "
                 "logarithmic potential's interval (-1, 1)"
             )
-        room = 1.0 - min(INIT_MARGIN, 0.5 * (1.0 - abs(m_target)))
+        room = 1.0 - min(pot.INIT_MARGIN, 0.5 * (1.0 - abs(m_target)))
         fluct = phi_seed.values - phi_seed.values.mean()
         spread = max(fluct.max() / (room - m_target), -fluct.min() / (room + m_target))
         phi = m_target + fluct / max(1.0, spread)
@@ -252,7 +251,7 @@ def solve_stationary(
         sigma=sigma_field,
         residual_inf=res_inf,
         iterations=it,
-        free_energy_value=energy + 0.5 * sigma_const**2 * spec.lx * spec.ly,
+        free_energy_value=energy + 0.5 * sigma_const**2 * spec.area,
         mean_phi=mean(phi_field),
         mean_sigma=mean(sigma_field),
     )

@@ -585,15 +585,19 @@ def test_run_out_naming_a_file_exits_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name", ["ledger.csv", "final.bin"])
-def test_run_output_file_that_cannot_be_written_exits_two(tmp_path, capsys, name):
-    # a directory in the file's place makes the write fail whoever runs it
+def test_run_output_file_that_cannot_be_written_exits_two(tmp_path, capsys, monkeypatch, name):
+    # a directory in the file's place makes the write fail whoever runs it,
+    # and it is refused before the march starts
     cfg = write_config(tmp_path, QUICK)
     out = tmp_path / "out"
     (out / name).mkdir(parents=True)
+    runs = []
+    monkeypatch.setattr(cli, "run", lambda *args, **kwargs: runs.append(args))
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert err.startswith(f"error: {out / name}: cannot write")
+    assert runs == []
 
 
 @pytest.mark.parametrize(
@@ -684,6 +688,17 @@ def test_krylov_failure_exits_three(tmp_path, capsys, monkeypatch):
     assert "solver failure: GMRES did not converge in Newton iteration 1" in err
     assert "after 1 iterations" in err
     assert err.endswith(" (step 1, t = 0.0)\n")
+
+
+def test_failed_run_without_snapshots_leaves_no_directory(tmp_path, capsys, monkeypatch):
+    # at cadence 0 the first file is written after the march, so a run that
+    # fails on its way there makes no output directory
+    monkeypatch.setattr(chd, "GMRES_MAX_ITER", 1)
+    cfg = write_config(tmp_path, QUICK + "\n[scenario]\nname = droplet\n[output]\ncadence = 0\n")
+    out = tmp_path / "nested" / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("solver failure: GMRES did not converge")
+    assert not (tmp_path / "nested").exists()
 
 
 def test_krylov_nan_estimate_stops_the_solve(tmp_path, capsys):
@@ -940,17 +955,21 @@ def test_stationary_out_naming_a_file_exits_two(tmp_path, capsys, monkeypatch):
     assert solves == []
 
 
-def test_stationary_output_file_that_cannot_be_written_exits_two(tmp_path, capsys):
+def test_stationary_output_file_that_cannot_be_written_exits_two(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, QUICK.replace("t_end = 0.1", "t_end = 0.0"))
     seed = tmp_path / "seed"
     assert main(["run", "--config", cfg, "--out", str(seed)]) == 0
     (seed / "equilibrium.bin").mkdir()
     capsys.readouterr()
+    # the blocked output is refused before the relaxation starts
+    solves = []
+    monkeypatch.setattr(cli, "solve_stationary", lambda *args: solves.append(args))
     argv = ["stationary", "--config", cfg, "--seed-snapshot", str(seed / "final.bin")]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert err.startswith(f"error: {seed / 'equilibrium.bin'}: cannot write snapshot")
+    assert solves == []
 
 
 def test_failed_stationary_solve_exits_three_and_leaves_no_directory(
