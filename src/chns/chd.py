@@ -36,15 +36,15 @@ y_j (J z_j) - b``, without applying ``J`` again.  Each Krylov solve stops
 once that residual is a fixed fraction of the Newton residual (an
 inexact-Newton forcing term; Eisenstat & Walker, SIAM J. Sci. Comput. 17,
 1996).  Newton stops at its residual target, once its update is below
-rounding, or one update earlier when a contraction estimate (Deuflhard,
-Newton Methods for Nonlinear Problems, Springer 2004) shows that the next
-update would be below rounding.  For the logarithmic potential a barrier
-safeguard rescales any update so that no cell moves more than 90 percent
-of its remaining distance to ``+-1``, which keeps every iterate strictly
-inside the physical interval.  That scale is the only damping: the
-update is taken as scaled, with no line search on the residual norm,
-which affine-invariant Newton theory (Deuflhard) gives no reason to
-trust for a damped step.
+rounding, or one update earlier, with no residual evaluated, when a
+contraction estimate (Deuflhard, Newton Methods for Nonlinear Problems,
+Springer 2004) shows that the next update would be below rounding.  For
+the logarithmic potential a barrier safeguard rescales any update so
+that no cell moves more than 90 percent of its remaining distance to
+``+-1``, which keeps every iterate strictly inside the physical
+interval.  That scale is the only damping: the update is taken as
+scaled, with no line search on the residual norm, which affine-invariant
+Newton theory (Deuflhard) gives no reason to trust for a damped step.
 """
 
 from __future__ import annotations
@@ -163,11 +163,10 @@ class ChdStepReport:
     """Solver bookkeeping for one transport step.
 
     ``linear_iters`` sums the GMRES iterations over the step's Newton
-    iterations.
+    iterations.  No residual is kept: the contraction stop evaluates none.
     """
 
     newton_iters: int = 0
-    newton_residual: float = 0.0
     linear_iters: int = 0
     clipped_steps: int = 0
 
@@ -347,42 +346,42 @@ def _newton_solve(
     g_expl: np.ndarray,
     b_expl: np.ndarray | float,
     m_target: float,
-) -> tuple[np.ndarray, int, float, int, int]:
+) -> tuple[np.ndarray, int, int, int]:
     """Solve ``(phi - phi0)/dt + b_expl = lap mu`` with ``mu`` the scheme's
     chemical potential (:func:`_scheme_mu`) by :func:`_newton_update` steps
     and recenter to ``m_target`` (:func:`_recenter`).
 
     Each update is taken at its barrier scale as it stands: no line search
     judges it by the residual.  Stops at the residual target or once the
-    update is below rounding (:data:`_UPDATE_FLOOR`), since on fine grids
-    or long steps the residual's rounding floor, relative to ``|rhs|``
-    about ``eps dt max eig(lap^2)``, lies above the target.  It also stops after an update
-    once the next one is sure to be below rounding: when two updates in a
-    row were taken undamped and their size ratio ``theta = max|delta_k| /
-    max|delta_{k-1}|`` is below 1/2, the error left after ``delta_k`` is at
-    most ``theta / (1 - theta) max|delta_k|`` (Deuflhard, Newton Methods
-    for Nonlinear Problems, Springer 2004), and a bound below the rounding
-    floor saves the Krylov solve that would only find that out.
-    Raises :class:`NewtonError` at once when the residual or its target is
-    not finite, before any Krylov solve.  Returns ``(phi, iterations,
-    residual, barrier_activations, gmres_iterations)``.
+    update is below rounding (:data:`_UPDATE_FLOOR`), since on fine grids or
+    long steps the residual's rounding floor, relative to ``|rhs|`` about
+    ``eps dt max eig(lap^2)``, lies above the target.  It also stops after
+    an update once the next one is sure to be below rounding: when two
+    updates in a row were taken undamped and their size ratio ``theta =
+    max|delta_k| / max|delta_{k-1}|`` is below 1/2, the error left after
+    ``delta_k`` is at most ``theta / (1 - theta) max|delta_k|`` (Deuflhard,
+    Newton Methods for Nonlinear Problems, Springer 2004), and a bound below
+    the rounding floor saves the residual and the Krylov solve that would
+    only find that out.  Raises :class:`NewtonError` at once when the
+    residual or its target is not finite, before any Krylov solve.  Returns
+    ``(phi, iterations, barrier_activations, gmres_iterations)``.
     """
     area = spec.cell_area
     gd = gamma / dt
 
-    def residual(phi: np.ndarray) -> np.ndarray:
-        mu = _scheme_mu(spec, pparams, phi, phi0, gd, g_expl)
-        return (phi - phi0) / dt + b_expl - laplacian_raw(spec, mu)
-
     def norm(r: np.ndarray) -> float:
         return float(np.sqrt(area * inner_raw(r, r)))
+
+    def residual(phi: np.ndarray) -> tuple[np.ndarray, float]:
+        mu = _scheme_mu(spec, pparams, phi, phi0, gd, g_expl)
+        r = (phi - phi0) / dt + b_expl - laplacian_raw(spec, mu)
+        return r, norm(r)
 
     rhs = phi0 / dt - b_expl + laplacian_raw(spec, g_expl)
     tol = NEWTON_TOL_FACTOR * (1.0 + norm(rhs))
 
     phi = phi0.copy()
-    r = residual(phi)
-    res = norm(r)
+    r, res = residual(phi)
     it = clipped = linear = 0
     prev_step = None  # max|delta| of the previous update if it was taken undamped
     # any residual meets an infinite target, so that target is refused too
@@ -406,13 +405,12 @@ def _newton_solve(
         if s < 1.0:
             clipped += 1
         phi = phi_new
-        r = residual(phi)
-        res = norm(r)
         theta = step / prev_step if prev_step else 1.0
         if s == 1.0 and theta < 0.5 and theta / (1.0 - theta) * step <= floor:
             break
         prev_step = step if s == 1.0 else None
-    return _recenter(phi, m_target, pparams), it, res, clipped, linear
+        r, res = residual(phi)
+    return _recenter(phi, m_target, pparams), it, clipped, linear
 
 
 def ch_step(
@@ -444,12 +442,10 @@ def ch_step(
     kappa = p.alpha * (m_target - p.c0)
     b_expl = adv + kappa - src
 
-    phi_new, iters, res, clipped, linear = _newton_solve(
+    phi_new, iters, clipped, linear = _newton_solve(
         spec, p.potential, phi.values, dt, p.gamma, g_expl, b_expl, m_target
     )
-    report = ChdStepReport(
-        newton_iters=iters, newton_residual=res, linear_iters=linear, clipped_steps=clipped
-    )
+    report = ChdStepReport(newton_iters=iters, linear_iters=linear, clipped_steps=clipped)
 
     mu_new = _scheme_mu(spec, p.potential, phi_new, phi.values, p.gamma / dt, g_expl)
     return ScalarField(spec, phi_new), ScalarField(spec, mu_new), report

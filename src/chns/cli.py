@@ -434,22 +434,24 @@ def run_checks(cfg: RunConfig) -> list:
 
 def _check_outputs(path: str | os.PathLike, *names: str) -> Path:
     """``path``, refused unless it or its nearest existing ancestor is a
-    directory and none of the output files ``names`` in it is a directory."""
+    directory and no output in it matching a glob of ``names`` is one."""
     out_dir = Path(path)
     existing = next(q for q in (out_dir, *out_dir.parents) if os.path.exists(q))
     if not os.path.isdir(existing):
         raise ConfigError(f"{out_dir}: cannot create output directory: {existing} is not a directory")
-    for name in names:
-        if os.path.isdir(out_dir / name):
-            what = "ledger" if name.endswith(".csv") else "snapshot"
-            raise ConfigError(f"{out_dir / name}: cannot write {what}: it is a directory")
+    for target in (q for name in names for q in sorted(out_dir.glob(name))):
+        if target.is_dir():
+            what = "ledger" if target.suffix == ".csv" else "snapshot"
+            raise ConfigError(f"{target}: cannot write {what}: it is a directory")
     return out_dir
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     seed = [] if args.seed is None else [f"scenario.seed={args.seed}"]
     cfg = parse_config(args.config, args.overrides + seed)
-    out_dir = _check_outputs(args.out_dir or "chns_out", "ledger.csv", "final.bin")
+    # the CFL-limited march fixes the snapshots' steps, so every snapshot name is checked
+    snaps = ("snap_*.bin",) if cfg.cadence > 0 else ()
+    out_dir = _check_outputs(args.out_dir or "chns_out", "ledger.csv", "final.bin", *snaps)
 
     def record(state: SimState) -> None:
         write_snapshot(out_dir / f"snap_{state.step:08d}.bin", state)
@@ -501,7 +503,7 @@ def _cmd_stationary(args: argparse.Namespace) -> int:
     eq_state = SimState(
         vel=MacVelocity.zeros(cfg.grid),
         phi=eq.phi,
-        mu=chemical_potential(eq.phi, eq.sigma, cfg.params),
+        mu=eq.mu,
         sigma=eq.sigma,
         pressure=ScalarField.zeros(cfg.grid),
         t=state.t,

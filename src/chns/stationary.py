@@ -90,10 +90,11 @@ class RateFitError(ValueError):
 
 @dataclass
 class Equilibrium:
-    """Converged stationary pair with solver bookkeeping."""
+    """Converged stationary pair, the ``mu`` its residual was measured on, and bookkeeping."""
 
     phi: ScalarField
     sigma: ScalarField
+    mu: ScalarField
     residual_inf: float
     iterations: int
     free_energy_value: float
@@ -136,10 +137,9 @@ def _newton_solve(
     at its barrier scale, as the coupled Newton loop takes it, and
     recentered to ``m_target`` (:func:`~chns.chd._recenter`).
 
-    Returns the tuple of :func:`chns.chd._newton_solve`, ``(phi, 1, nan,
-    barrier_activations, gmres_iterations)``: no residual is evaluated
-    after the update.  The benchmark (``perfbench/child.py``) counts calls
-    of this name as pseudo-steps.
+    Returns ``(phi, 1, nan, barrier_activations, gmres_iterations)``: no
+    residual is evaluated after the update.  The benchmark (``perfbench/``)
+    counts calls of this name as pseudo-steps and reads this tuple.
     """
     out, _, s, linear = _newton_update(spec, pparams, phi, -laplacian_raw(spec, mu), dtau, gd, 1)
     return _recenter(out, m_target, pparams), 1, float("nan"), int(s < 1.0), linear
@@ -249,6 +249,7 @@ def solve_stationary(
     return Equilibrium(
         phi=phi_field,
         sigma=sigma_field,
+        mu=ScalarField(spec, mu),
         residual_inf=res_inf,
         iterations=it,
         free_energy_value=energy + 0.5 * sigma_const**2 * spec.area,

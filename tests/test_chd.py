@@ -256,13 +256,14 @@ def test_closing_residual_from_stored_products_is_the_true_residual(case, monkey
 def spinodal_newton_solve(monkeypatch, barrier_scale=_barrier_scale):
     """One ch_step of the seed-1 spinodal at 256^2, dt = 1e-3, where the
     update after Newton's second iteration is below rounding.  Returns
-    ``(args, result, solves)``: the captured ``_newton_solve`` arguments
-    and result, and the number of Krylov solves the step made."""
+    ``(args, result, counts)``: the captured ``_newton_solve`` arguments
+    and result, and the numbers of Krylov solves (``"solves"``) and
+    ``_scheme_mu`` evaluations (``"mus"``) the step made."""
     cfg = RunConfig(
         grid=GridSpec(256, 256), params=ModelParams(chi=0.2, alpha=0.5, beta=1.0), seed=1
     )
     state = initial_state(cfg)
-    captured = {"solves": 0}
+    captured = {"solves": 0, "mus": 0}
 
     def newton(*args):
         captured["args"], captured["result"] = args, _newton_solve(*args)
@@ -272,11 +273,16 @@ def spinodal_newton_solve(monkeypatch, barrier_scale=_barrier_scale):
         captured["solves"] += 1
         return _jacobian_solve(*args)
 
+    def scheme_mu(*args):
+        captured["mus"] += 1
+        return _scheme_mu(*args)
+
     monkeypatch.setattr(chd, "_newton_solve", newton)
     monkeypatch.setattr(chd, "_jacobian_solve", jacobian_solve)
     monkeypatch.setattr(chd, "_barrier_scale", barrier_scale)
+    monkeypatch.setattr(chd, "_scheme_mu", scheme_mu)
     ch_step(state.phi, state.sigma, state.vel, cfg.params, cfg.dt)
-    return captured["args"], captured["result"], captured["solves"]
+    return captured["args"], captured["result"], captured
 
 
 def newton_residual(args, phi):
@@ -286,16 +292,20 @@ def newton_residual(args, phi):
 
 
 def test_newton_stops_on_the_contraction_estimate(monkeypatch):
-    args, (phi, iters, res, clipped, _), solves = spinodal_newton_solve(monkeypatch)
+    args, (phi, iters, clipped, _), counts = spinodal_newton_solve(monkeypatch)
     spec, pparams, phi0, dt, gamma, g_expl, b_expl, _ = args
     rhs = phi0 / dt - b_expl + laplacian_raw(spec, g_expl)
     tol = NEWTON_TOL_FACTOR * (1.0 + np.sqrt(spec.cell_area * np.sum(rhs * rhs)))
     # the residual is still above its target, so without the contraction
     # stop a third Krylov solve would run only to find a rounding-size update
-    assert res > tol
-    assert (iters, solves, clipped) == (2, 2, 0)
+    r = newton_residual(args, phi)
+    assert np.sqrt(spec.cell_area * np.sum(r * r)) > tol
+    assert (iters, counts["solves"], clipped) == (2, 2, 0)
+    # the residual is evaluated before the first update and after each
+    # update but the one the estimate stops on; ch_step adds the step's mu
+    assert counts["mus"] == iters + 1
     d = psi0_second(phi, pparams) + gamma / dt
-    delta = _jacobian_solve(spec, d, dt, -newton_residual(args, phi))[0]
+    delta = _jacobian_solve(spec, d, dt, -r)[0]
     assert np.max(np.abs(delta)) <= _UPDATE_FLOOR * max(1.0, np.max(np.abs(phi)))
 
 
@@ -311,9 +321,9 @@ def test_damped_updates_keep_the_rounding_floor_stop(monkeypatch, damped_updates
         scale = 1.0 - 1.0e-12 if len(calls) in damped_updates else 1.0
         return scale * _barrier_scale(phi, delta)
 
-    _, (phi, iters, _, clipped, _), solves = spinodal_newton_solve(monkeypatch, damped)
+    _, (phi, iters, clipped, _), counts = spinodal_newton_solve(monkeypatch, damped)
     _, (want, *_), _ = spinodal_newton_solve(monkeypatch)
-    assert (iters, solves, clipped) == (3, 3, len(damped_updates))
+    assert (iters, counts["solves"], clipped) == (3, 3, len(damped_updates))
     assert np.max(np.abs(phi - want)) <= 1.0e-13
 
 

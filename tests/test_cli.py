@@ -584,19 +584,22 @@ def test_run_out_naming_a_file_exits_two(tmp_path, capsys):
     assert err.startswith(f"error: {out}: cannot create output directory")
 
 
-@pytest.mark.parametrize("name", ["ledger.csv", "final.bin"])
+@pytest.mark.parametrize("name", ["ledger.csv", "final.bin", "snap_00000004.bin"])
 def test_run_output_file_that_cannot_be_written_exits_two(tmp_path, capsys, monkeypatch, name):
     # a directory in the file's place makes the write fail whoever runs it,
-    # and it is refused before the march starts
+    # and it is refused before the march starts; snap_00000004.bin is the
+    # last periodic snapshot of the 5-step march, one every 2 steps
     cfg = write_config(tmp_path, QUICK)
     out = tmp_path / "out"
     (out / name).mkdir(parents=True)
     runs = []
     monkeypatch.setattr(cli, "run", lambda *args, **kwargs: runs.append(args))
-    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    argv = ["run", "--config", cfg, "--set", "output.cadence=2", "--out", str(out)]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
-    assert err.startswith(f"error: {out / name}: cannot write")
+    what = "ledger" if name == "ledger.csv" else "snapshot"
+    assert err.startswith(f"error: {out / name}: cannot write {what}: it is a directory")
     assert runs == []
 
 
@@ -970,6 +973,44 @@ def test_stationary_output_file_that_cannot_be_written_exits_two(tmp_path, capsy
     assert len(err.strip().splitlines()) == 1
     assert err.startswith(f"error: {seed / 'equilibrium.bin'}: cannot write snapshot")
     assert solves == []
+
+
+def test_stationary_writes_the_chemical_potential_of_its_last_evaluation(
+    tmp_path, capsys, monkeypatch
+):
+    # the solve's last evaluation holds the equilibrium's mu, so no N solve
+    # runs after the solve returns
+    text = QUICK.replace("t_end = 0.1", "t_end = 0.0") + "\n[params]\nchi = 0.2\nbeta = 1.0\n"
+    cfg = write_config(tmp_path, text)
+    seed = tmp_path / "seed"
+    assert main(["run", "--config", cfg, "--out", str(seed)]) == 0
+    events = []
+
+    def record(module, name, event, after=None):
+        fn = getattr(module, name)
+
+        def recorded(*args, **kwargs):
+            events.append(event)
+            result = fn(*args, **kwargs)
+            if after:
+                events.append(after)
+            return result
+
+        monkeypatch.setattr(module, name, recorded)
+
+    record(chd, "nonlocal_potential", "N")
+    record(stationary, "nonlocal_potential", "N")
+    record(stationary, "_evaluate", "evaluate")
+    record(cli, "solve_stationary", "solve", after="returned")
+    assert main(["stationary", "--config", cfg, "--seed-snapshot", str(seed / "final.bin")]) == 0
+    returned = events.index("returned")
+    assert events.count("N") == events.count("evaluate") > 0
+    assert "N" not in events[returned:]
+
+    eq = read_snapshot(seed / "equilibrium.bin")
+    want = chd.chemical_potential(eq.phi, eq.sigma, parse_config(cfg).params).values
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert np.max(np.abs(eq.mu.values - want)) <= 1.0e-12 * scale
 
 
 def test_failed_stationary_solve_exits_three_and_leaves_no_directory(
