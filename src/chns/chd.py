@@ -111,7 +111,7 @@ _INTERIOR_CAP = float(np.nextafter(1.0, 0.0))
 
 
 # perfbench/tracing.py (WRAPS) patches these names, which nothing calls;
-# ROADMAP item 2 drops them with the tracer's entries
+# ROADMAP item 1 drops them with the tracer's entries
 cg_raw = solve_spd = splu = None
 
 
@@ -187,6 +187,7 @@ def _explicit_lags(phi: ScalarField, sigma: ScalarField, p: ModelParams) -> np.n
     """The explicit part ``-theta0 phi - chi sigma + beta N(phi - mean phi)``
     of the chemical potential, the scheme's ``g_expl``."""
     g_expl = -p.theta0 * phi.values - p.chi * sigma.values
+    # droplet-64 runs beta = 0 and spinodal-128 beta = 1: both sides are measured
     if p.beta != 0.0:
         g_expl = g_expl + p.beta * nonlocal_potential(phi)[0].values
     return g_expl
@@ -469,8 +470,7 @@ def sigma_step(
         raise ValueError(f"dt must be positive, got {dt}")
     spec = sigma.grid
     b = sigma.values - dt * advect_scalar(vel, sigma).values
-    if p.chi != 0.0:
-        b = b - dt * p.chi * laplacian_raw(spec, phi_new.values)
+    b -= dt * p.chi * laplacian_raw(spec, phi_new.values)
     if source is not None:
         b = b + dt * source.values
 

@@ -214,8 +214,8 @@ def run(cfg: RunConfig, on_record=None) -> tuple[SimState, list]:
     if on_record is not None:
         on_record(state)
     step = coupled_step if cfg.scenario.evolves_velocity else chd_step
-    # a time within rounding of t_end counts as reaching it
-    t_stop = cfg.t_end - 1.0e-12 * max(cfg.t_end, 1.0)
+    # a time within a relative 1e-12 of t_end counts as reaching it
+    t_stop = cfg.t_end - 1.0e-12 * cfg.t_end
 
     while state.t < t_stop:
         dt = min(cfl_dt(state.vel, cfg.dt, cfg.cfl_safety), cfg.t_end - state.t)

@@ -87,8 +87,8 @@ def free_energy(phi: ScalarField, sigma: ScalarField, p: ModelParams) -> float:
     """
     out = 0.5 * grad_norm_sq(phi) + integrate(ScalarField(phi.grid, psi(phi.values, p.potential)))
     out += 0.5 * l2_inner(sigma, sigma)
-    if p.chi != 0.0:
-        out -= p.chi * l2_inner(sigma, phi)
+    out -= p.chi * l2_inner(sigma, phi)
+    # droplet-64 runs beta = 0 and spinodal-128 beta = 1: both sides are measured
     if p.beta != 0.0:
         fluct = ScalarField(phi.grid, phi.values - phi.values.mean())
         nphi, _ = nonlocal_potential(phi)

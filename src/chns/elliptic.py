@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 # perfbench/tracing.py (WRAPS) patches these names, which nothing calls;
-# ROADMAP item 2 drops them with the tracer's entries
+# ROADMAP item 1 drops them with the tracer's entries
 cg_raw = solve_spd = None
 
 

@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 # perfbench/tracing.py (WRAPS) patches this name, which nothing calls;
-# ROADMAP item 2 drops it with the tracer's entries
+# ROADMAP item 1 drops it with the tracer's entries
 cg_raw = None
 
 

@@ -105,19 +105,17 @@ class Equilibrium:
 def _evaluate(phi: np.ndarray, spec, p: ModelParams, sigma_const: float) -> tuple:
     """The reduced energy at ``phi``, the scheme's ``mu`` at a fixed point
     (``phi0 = phi``, ``gamma = 0``) on the locked solute ``chi phi +
-    sigma_const``, and the max norm of its fluctuation, from one ``N`` solve.
-    The energy is ``free_energy(phi, chi phi + c) - c^2 |Omega| / 2``; going
-    through ``free_energy`` instead adds an ``N`` solve and the solute terms,
-    about 0.4 ms or 8-10 % of a pseudo-step at 96^2."""
+    sigma_const``, and the max norm of its fluctuation, from one ``N`` solve
+    whatever ``beta`` is.  The energy is ``free_energy(phi, chi phi + c) -
+    c^2 |Omega| / 2``; going through ``free_energy`` instead adds the solute
+    terms and at ``beta != 0`` an ``N`` solve, about 0.4 ms (8-10 % of a
+    pseudo-step at 96^2)."""
     f = ScalarField(spec, phi)
     energy = 0.5 * grad_norm_sq(f) + integrate(ScalarField(spec, pot.psi(phi, p.potential)))
     energy -= 0.5 * p.chi**2 * spec.cell_area * inner_raw(phi, phi)
-    g_expl = -(p.theta0 + p.chi**2) * phi - p.chi * sigma_const
-    if p.beta != 0.0:
-        nphi = nonlocal_potential(f)[0].values
-        fluct = phi - phi.mean()
-        energy += 0.5 * p.beta * spec.cell_area * inner_raw(fluct, nphi)
-        g_expl = g_expl + p.beta * nphi
+    nphi = nonlocal_potential(f)[0].values
+    energy += 0.5 * p.beta * spec.cell_area * inner_raw(phi - phi.mean(), nphi)
+    g_expl = -(p.theta0 + p.chi**2) * phi - p.chi * sigma_const + p.beta * nphi
     mu = _scheme_mu(spec, p.potential, phi, phi, 0.0, g_expl)
     return energy, mu, float(np.max(np.abs(mu - mu.mean())))
 

@@ -179,20 +179,24 @@ def test_jacobian_solve_matches_dense_oracle(dt, rng):
     phi = np.sqrt(1.0 - 1.0 / 500.0) * profile / np.max(np.abs(profile))
     d = psi0_second(phi, LOG)
     assert d.min() < 1.1 and d.max() == pytest.approx(500.0)
-    b = rng.standard_normal((10, 7))
-
-    sol, iters, rel = _jacobian_solve(spec, d, dt, b)
-
     lap = dense_neumann_laplacian(spec)
     jac = np.eye(70) / dt + lap @ lap - lap @ np.diag(d.reshape(-1))
-    b_norm = np.linalg.norm(b)
-    true_res = np.linalg.norm(jac @ sol.reshape(-1) - b.reshape(-1))
-    assert iters > 0 and rel <= GMRES_FORCING
-    assert true_res <= GMRES_FORCING * b_norm
-    # the residual bound carries over to the error through |J^-1|_2
-    want = np.linalg.solve(jac, b.reshape(-1))
     inv_norm = np.linalg.norm(np.linalg.inv(jac), 2)
-    assert np.linalg.norm(sol.reshape(-1) - want) <= inv_norm * GMRES_FORCING * b_norm
+    # many right-hand sides: solvers that report their recursively updated
+    # residual met the bound on rel for every one of these while the true
+    # residual reached 9.3e-5 on 3 of them at dt = 1; the closing residual
+    # summed from the stored products J z_j keeps the two in step
+    rhs = [rng.standard_normal((10, 7))]
+    rhs += [np.random.default_rng(s).standard_normal((10, 7)) for s in range(16)]
+    for b in rhs:
+        sol, iters, rel = _jacobian_solve(spec, d, dt, b)
+        b_norm = np.linalg.norm(b)
+        true_res = np.linalg.norm(jac @ sol.reshape(-1) - b.reshape(-1))
+        assert iters > 0 and rel <= GMRES_FORCING
+        assert true_res <= GMRES_FORCING * b_norm
+        # the residual bound carries over to the error through |J^-1|_2
+        want = np.linalg.solve(jac, b.reshape(-1))
+        assert np.linalg.norm(sol.reshape(-1) - want) <= inv_norm * GMRES_FORCING * b_norm
 
 
 def tanh_fixture():

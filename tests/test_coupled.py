@@ -421,11 +421,16 @@ def test_record_cadence():
     assert seen == [0, 5]
 
 
-def test_final_partial_step_lands_on_t_end():
-    cfg = RunConfig(grid=GridSpec(8, 8), dt=0.04, t_end=0.1, seed=2)
+@pytest.mark.parametrize(
+    "dt, t_end, steps",
+    [(0.04, 0.1, 3), (1.0e-12, 1.0e-11, 10), (2.0e-13, 2.0e-12, 10), (1.0e-13, 1.0e-12, 10)],
+)
+def test_final_partial_step_lands_on_t_end(dt, t_end, steps):
+    # the end window is relative to t_end, so a short run takes all its steps
+    cfg = RunConfig(grid=GridSpec(8, 8), dt=dt, t_end=t_end, seed=2)
     state, rows = run(cfg)
-    assert state.t == pytest.approx(0.1, abs=1.0e-12)
-    assert state.step == 3
+    assert state.t == pytest.approx(t_end, rel=1.0e-12, abs=0.0)
+    assert state.step == steps
 
 
 @pytest.mark.parametrize("n, dt, steps", [(256, 1.0e-3, 1), (128, 0.02, 4)])

@@ -95,7 +95,7 @@ def unread_parameters(path):
 
 
 # perfbench/child.py passes a SolverConfig to nonlocal_potential; ROADMAP
-# item 2 drops the parameter together with the benchmark's use of it
+# item 1 drops the parameter together with the benchmark's use of it
 PINNED_UNREAD = {("chd", "nonlocal_potential", "cfg")}
 
 
