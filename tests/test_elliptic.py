@@ -1,8 +1,10 @@
 """Transform solves against dense oracles, on fixed and on randomly drawn
-grids, eigenmodes, round trips and the dual norm."""
+grids, and against scipy's transforms at the benchmark's sizes; eigenmodes,
+round trips and the dual norm."""
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 from conftest import dense_face_laplacians, dense_neumann_laplacian
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -158,6 +160,48 @@ def test_jacobian_preconditioner_property(spec, seed, dt_scale, d_scale):
     want = np.linalg.solve(mat, b.reshape(-1))
     got = neumann_symbol_solve(b, _preconditioner_symbol(spec, d, dt)).reshape(-1)
     assert rel_err(got, want) <= 1.0e-12
+
+
+def scipy_symbol_solve(rhs, symbol):
+    """Cosine-transform solve through scipy's orthonormal DCT-II, dropping
+    the modes where ``symbol`` vanishes."""
+    coef = sfft.dctn(rhs, type=2, norm="ortho")
+    coef = np.divide(coef, symbol, out=np.zeros_like(coef), where=symbol != 0.0)
+    return sfft.idctn(coef, type=2, norm="ortho")
+
+
+def scipy_face_solve(rhs, h_pinned, h_cells, coeff):
+    """``w - coeff lap w = rhs`` on faces pinned along axis 0 (DST-I) and
+    cell-centred with zero-value walls along axis 1 (DST-II), through
+    scipy's orthonormal sine transforms."""
+    n_pinned, n_cells = rhs.shape[0] + 1, rhs.shape[1]
+    lam_pinned = (2.0 * np.sin(0.5 * np.pi * np.arange(1, n_pinned) / n_pinned) / h_pinned) ** 2
+    lam_cells = (2.0 * np.sin(0.5 * np.pi * np.arange(1, n_cells + 1) / n_cells) / h_cells) ** 2
+    coef = sfft.dst(sfft.dst(rhs, type=1, axis=0, norm="ortho"), type=2, axis=1, norm="ortho")
+    coef /= 1.0 + coeff * (lam_pinned[:, None] + lam_cells)
+    return sfft.idst(sfft.idst(coef, type=2, axis=1, norm="ortho"), type=1, axis=0, norm="ortho")
+
+
+# the benchmark's grid sizes, and one odd axis; the dense oracles above
+# stop at 17 cells
+SCIPY_GRIDS = [GridSpec(64, 64), GridSpec(96, 96), GridSpec(127, 128, 1.0, 1.3), GridSpec(128, 128)]
+
+
+@pytest.mark.parametrize("spec", SCIPY_GRIDS, ids=str)
+def test_transform_solves_match_scipy_oracle(spec, rng):
+    lam = neumann_eigenvalues(spec)
+    f = rng.standard_normal((spec.nx, spec.ny))
+    for symbol in (lam, 1.0 + 0.3 * spec.hx * spec.hy * lam):
+        assert rel_err(neumann_symbol_solve(f, symbol), scipy_symbol_solve(f, symbol)) <= 1.0e-13
+
+    coeff = 0.3 * spec.hx * spec.hy
+    u_rhs = rng.standard_normal((spec.nx + 1, spec.ny))
+    v_rhs = rng.standard_normal((spec.nx, spec.ny + 1))
+    got_u, got_v = face_helmholtz(spec, u_rhs, v_rhs, coeff)
+    want_u = scipy_face_solve(u_rhs[1:-1, :], spec.hx, spec.hy, coeff)
+    want_v = scipy_face_solve(v_rhs[:, 1:-1].T, spec.hy, spec.hx, coeff).T
+    assert rel_err(got_u[1:-1, :], want_u) <= 1.0e-13
+    assert rel_err(got_v[:, 1:-1], want_v) <= 1.0e-13
 
 
 def test_zero_input():

@@ -1,6 +1,6 @@
 """Package-level contracts: no dead imports in ``src/chns`` or ``tests``, no
 unread parameters in ``src/chns``, no top-level name without a caller, no
-``scipy.sparse`` in a run, and the names the benchmark harness in
+``scipy`` in any command, and the names the benchmark harness in
 ``perfbench/`` looks up on the package and counts its steps by."""
 
 import ast
@@ -163,10 +163,13 @@ def test_every_public_name_has_a_caller():
     assert not found, "top-level names nothing in src/chns or perfbench/ uses: " + ", ".join(found)
 
 
-def sparse_modules_after(code, *args):
-    """The ``scipy.sparse`` modules loaded once ``code`` ran in a fresh
+def scipy_modules_after(code, *args):
+    """The ``scipy`` modules loaded once ``code`` ran in a fresh
     interpreter with ``args`` as ``sys.argv[1:]``."""
-    code += "\nprint(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
+    code += (
+        "\nprint(sorted(name for name, module in sys.modules.items()\n"
+        "             if module is not None and name.split('.')[0] == 'scipy'))\n"
+    )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")]))
     done = subprocess.run(
@@ -180,20 +183,27 @@ def sparse_modules_after(code, *args):
     return done.stdout.splitlines()[-1]
 
 
-def test_run_does_not_import_scipy_sparse(tmp_path):
-    # every solve is a transform or matrix-free, so nothing needs scipy.sparse
+def test_commands_run_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: with scipy unimportable, every
+    # command still runs to completion
     code = (
         "import sys\n"
+        "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
         "from chns.cli import main\n"
-        "args = ['run', '--set', 'grid.nx=16', '--set', 'grid.ny=16',\n"
-        "        '--set', 'time.t_end=0.005', '--out', sys.argv[1]]\n"
-        "assert main(args) == 0\n"
+        "out = sys.argv[1]\n"
+        "grid = ['--set', 'grid.nx=16', '--set', 'grid.ny=16']\n"
+        "march = ['--set', 'time.t_end=0.02', '--set', 'output.cadence=4', '--out', out]\n"
+        "assert main(['run', *grid, *march]) == 0\n"
+        "assert main(['stationary', *grid, '--seed-snapshot', out + '/final.bin']) == 0\n"
+        "assert main(['ratefit', '--snapshots', out, '--equilibrium', out + '/equilibrium.bin']) == 0\n"
+        "assert main(['check', *grid]) == 0\n"
     )
-    assert sparse_modules_after(code, str(tmp_path / "out")) == "[]"
+    assert scipy_modules_after(code, str(tmp_path / "out")) == "[]"
     assert (tmp_path / "out" / "ledger.csv").exists()
+    assert (tmp_path / "out" / "equilibrium.bin").exists()
 
 
-def test_tracer_does_not_import_scipy_sparse():
+def test_tracer_does_not_import_scipy():
     # the tracer looks up every WRAPS name, the placeholders included
     code = (
         "import importlib.util, sys\n"
@@ -202,7 +212,7 @@ def test_tracer_does_not_import_scipy_sparse():
         "spec.loader.exec_module(tracing)\n"
         "tracing.Tracer().install()\n"
     )
-    assert sparse_modules_after(code, str(TRACING)) == "[]"
+    assert scipy_modules_after(code, str(TRACING)) == "[]"
 
 
 def test_benchmark_import_contract():
