@@ -60,6 +60,7 @@ from .elliptic import (
     fluctuation_potential,
     neumann_eigenvalues,
     neumann_symbol_solve,
+    symbol_slots,
 )
 
 from .grid import (
@@ -235,7 +236,8 @@ def _jacobian_solve(
     only by ``J`` applied to the rounding of the preconditioner solves,
     about ``eps max(symbol) |z|``: at ``dt = 1e-3`` below ``1e-12 |b|``.
     """
-    symbol = _preconditioner_symbol(spec, d, dt)
+    # gathered into the transform's slots once, not on every iteration
+    divisor = symbol_slots(_preconditioner_symbol(spec, d, dt))
     d_dev = d - float(d.mean())
     b_norm = np.sqrt(inner_raw(b, b))
     basis = [b / b_norm]
@@ -248,7 +250,7 @@ def _jacobian_solve(
     g[0] = b_norm
     k = 0
     while True:
-        z = neumann_symbol_solve(basis[k], symbol)
+        z = neumann_symbol_solve(basis[k], divisor)
         preconditioned.append(z)
         jz = basis[k] - laplacian_raw(spec, d_dev * z)
         products.append(jz)

@@ -12,6 +12,11 @@ Scenarios:
 * ``drift``: transport only, against a fixed, discretely divergence-free
   velocity built from a corner stream function (the flow solver is
   bypassed, which isolates the transport subsystem).
+
+The seeded noise is drawn from :class:`_Pcg64`, a pure-Python copy of
+numpy's default generator: ``_Pcg64(seed).uniform(-1, 1)`` is bit for bit
+``numpy.random.default_rng(seed).uniform(-1, 1)``, so seeded states match
+numpy's without loading ``numpy.random`` and its OpenSSL-backed seeding.
 """
 
 from __future__ import annotations
@@ -111,17 +116,84 @@ def _clip_phase(values: np.ndarray) -> np.ndarray:
     return np.clip(values, -1.0 + INIT_MARGIN, 1.0 - INIT_MARGIN)
 
 
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+#: PCG64's 128-bit LCG multiplier.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+class _Pcg64:
+    """The stream of ``numpy.random.default_rng(seed)``, bit for bit.
+
+    Seeding follows numpy's ``SeedSequence``: the seed split into 32-bit
+    words is hashed into a pool of four words, and the pool expands into
+    the 128-bit state and stream of PCG64, the XSL-RR 128/64 generator of
+    O'Neill (PCG, HMC-CS-2014-0905, 2014), which steps before each output.
+    """
+
+    def __init__(self, seed: int) -> None:
+        words = [seed & _MASK32]
+        while seed >> 32:
+            seed >>= 32
+            words.append(seed & _MASK32)
+        const = 0x43B0D7E5
+
+        def hashmix(value: int) -> int:
+            nonlocal const
+            value ^= const
+            const = const * 0x931E8875 & _MASK32
+            value = value * const & _MASK32
+            return value ^ value >> 16
+
+        def mix(x: int, y: int) -> int:
+            r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+            return r ^ r >> 16
+
+        pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in words[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        # generate_state(4, uint64): eight 32-bit words, paired little-endian
+        const = 0x8B51F9DD
+        out = []
+        for i in range(8):
+            value = pool[i % 4] ^ const
+            const = const * 0x58F38DED & _MASK32
+            value = value * const & _MASK32
+            out.append(value ^ value >> 16)
+        u64 = [out[k] | out[k + 1] << 32 for k in range(0, 8, 2)]
+        initstate, initseq = u64[0] << 64 | u64[1], u64[2] << 64 | u64[3]
+        self._inc = (initseq << 1 | 1) & _MASK128
+        self._state = ((self._inc + initstate) * _PCG_MULT + self._inc) & _MASK128
+
+    def uniform(self, low: float, high: float) -> float:
+        """One draw from ``[low, high)``, as numpy's ``Generator.uniform``."""
+        self._state = (self._state * _PCG_MULT + self._inc) & _MASK128
+        x = (self._state >> 64 ^ self._state) & _MASK64
+        rot = self._state >> 122
+        x = (x >> rot | x << (64 - rot)) & _MASK64
+        return low + (high - low) * ((x >> 11) * 2.0**-53)
+
+
 #: Highest cosine mode index used for seeded noise, per direction.
 _NOISE_MODES = 2
 
 
-def _seeded_noise(rng: np.random.Generator, spec: GridSpec) -> np.ndarray:
+def _seeded_noise(rng: _Pcg64, spec: GridSpec) -> np.ndarray:
     """Smooth random field with unit max norm.
 
     Uniform random coefficients on the lowest cosine modes, weighted down
-    with the mode number.  Content beyond the reach of one implicit step
-    would be flushed out immediately and its energy booked as a one-off
-    ledger defect, so the noise is kept band limited.
+    with the mode number, each drawn in turn as ``rng.uniform(-1, 1)``;
+    :class:`_Pcg64` gives bit for bit the draws of
+    ``numpy.random.default_rng(seed).uniform(-1, 1)``.  Content beyond the
+    reach of one implicit step would be flushed out immediately and its
+    energy booked as a one-off ledger defect, so the noise is kept band
+    limited.
     """
     xs = (np.arange(spec.nx) + 0.5) / spec.nx
     ys = (np.arange(spec.ny) + 0.5) / spec.ny
@@ -141,11 +213,11 @@ def initial_state(cfg: RunConfig) -> SimState:
     spec = cfg.grid
     p = cfg.params
     sc = cfg.scenario
-    rng = np.random.default_rng(cfg.seed)
     shape = (spec.nx, spec.ny)
     vel = MacVelocity.zeros(spec)
 
     if sc.name in ("spinodal", "drift"):
+        rng = _Pcg64(cfg.seed)
         phi_vals = p.c0 + sc.amplitude * _seeded_noise(rng, spec)
         sigma_vals = sc.sigma_mean + sc.amplitude * _seeded_noise(rng, spec)
     else:

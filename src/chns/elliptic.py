@@ -38,8 +38,8 @@ reading a result as floats or as complex numbers is a view, not a copy.
 The same transforms invert any function of the Neumann Laplacian
 (``neumann_symbol_solve``, given the function's values on
 ``neumann_eigenvalues``); the phase-field Newton iteration builds that
-symbol once per Krylov solve to precondition its variable-coefficient
-Jacobian.
+symbol and gathers it into the transform's slots (``symbol_slots``) once
+per Krylov solve to precondition its variable-coefficient Jacobian.
 
 The Neumann operator annihilates constants; its inverse ``N``
 (:func:`fluctuation_potential`) drops the constant mode and returns the
@@ -66,6 +66,7 @@ __all__ = [
     "neumann_eigenvalues",
     "neumann_solve",
     "neumann_symbol_solve",
+    "symbol_slots",
 ]
 
 # perfbench/tracing.py (WRAPS) patches these names, which nothing calls;
@@ -180,7 +181,7 @@ def _cosine_solve(rhs: np.ndarray, divisor: np.ndarray) -> np.ndarray:
     return u
 
 
-def _slot_divisor(symbol: np.ndarray) -> np.ndarray:
+def symbol_slots(symbol: np.ndarray) -> np.ndarray:
     """``symbol``, an ``(nx, ny)`` mode table, gathered into the float
     slots of :func:`_cosine_layout`.  Where the constant mode's symbol
     vanishes, its slot and the structurally zero slots that share its
@@ -195,7 +196,7 @@ def _slot_divisor(symbol: np.ndarray) -> np.ndarray:
 def _neumann_divisor(spec: GridSpec) -> np.ndarray:
     """:func:`neumann_eigenvalues` in the float slots, read-only, cached
     per grid."""
-    divisor = _slot_divisor(neumann_eigenvalues(spec))
+    divisor = symbol_slots(neumann_eigenvalues(spec))
     divisor.flags.writeable = False
     return divisor
 
@@ -205,11 +206,14 @@ def neumann_symbol_solve(rhs: np.ndarray, symbol: np.ndarray) -> np.ndarray:
     function ``A`` of the Neumann operator ``-lap``.
 
     ``symbol`` holds the eigenvalue of ``A`` on each cosine mode, built
-    elementwise from :func:`neumann_eigenvalues`; it is only read.  A
-    symbol that vanishes on the constant mode gives the zero-mean
-    solution of the singular problem.
+    elementwise from :func:`neumann_eigenvalues`, or those values already
+    gathered by :func:`symbol_slots`, whose shape is never ``rhs``'s: a
+    caller that solves with one symbol many times gathers it once.  It is
+    only read.  A symbol that vanishes on the constant mode gives the
+    zero-mean solution of the singular problem.
     """
-    return _cosine_solve(rhs, _slot_divisor(symbol))
+    divisor = symbol_slots(symbol) if symbol.shape == rhs.shape else symbol
+    return _cosine_solve(rhs, divisor)
 
 
 def fluctuation_potential(f: ScalarField) -> ScalarField:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from chns import chd
+from chns import chd, elliptic
 from chns.chd import (
     _UPDATE_FLOOR,
     BARRIER_MARGIN,
@@ -28,7 +28,7 @@ from chns.chd import (
 )
 from chns.coupled import RunConfig, initial_state
 from chns.diagnostics import free_energy
-from chns.elliptic import neumann_symbol_solve
+from chns.elliptic import neumann_symbol_solve, symbol_slots
 from chns.grid import (
     GridSpec,
     MacVelocity,
@@ -212,7 +212,7 @@ def test_jacobian_solve_preconditions_once_per_iteration(monkeypatch, rng):
     # iteration applies J P^-1 with one Laplacian, and the closing residual
     # is summed from the stored products at no Laplacian
     spec, d = tanh_fixture()
-    calls = {"precondition": 0, "laplacian": 0}
+    calls = {"precondition": 0, "laplacian": 0, "gather": 0}
 
     def counting(fn, key):
         def counted(*args):
@@ -223,9 +223,13 @@ def test_jacobian_solve_preconditions_once_per_iteration(monkeypatch, rng):
 
     monkeypatch.setattr(chd, "neumann_symbol_solve", counting(neumann_symbol_solve, "precondition"))
     monkeypatch.setattr(chd, "laplacian_raw", counting(laplacian_raw, "laplacian"))
+    # and gathers the symbol into the transform's slots once per solve
+    gather = counting(symbol_slots, "gather")
+    monkeypatch.setattr(chd, "symbol_slots", gather)
+    monkeypatch.setattr(elliptic, "symbol_slots", gather)
     _, iters, rel = _jacobian_solve(spec, d, 1.0e-3, rng.standard_normal((12, 10)))
     assert iters > 1 and rel <= GMRES_FORCING
-    assert calls == {"precondition": iters, "laplacian": iters}
+    assert calls == {"precondition": iters, "laplacian": iters, "gather": 1}
 
 
 @pytest.mark.parametrize("case", ["tanh", "random"])

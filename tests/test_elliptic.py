@@ -16,6 +16,7 @@ from chns.elliptic import (
     fluctuation_potential,
     neumann_eigenvalues,
     neumann_symbol_solve,
+    symbol_slots,
 )
 from chns.grid import (
     GridSpec,
@@ -158,8 +159,11 @@ def test_jacobian_preconditioner_property(spec, seed, dt_scale, d_scale):
     lap = dense_neumann_laplacian(spec)
     mat = np.eye(len(lap)) / dt + lap @ lap - d.mean() * lap
     want = np.linalg.solve(mat, b.reshape(-1))
-    got = neumann_symbol_solve(b, _preconditioner_symbol(spec, d, dt)).reshape(-1)
+    symbol = _preconditioner_symbol(spec, d, dt)
+    got = neumann_symbol_solve(b, symbol).reshape(-1)
     assert rel_err(got, want) <= 1.0e-12
+    # the symbol gathered beforehand, as the Krylov solve passes it
+    assert np.array_equal(neumann_symbol_solve(b, symbol_slots(symbol)).reshape(-1), got)
 
 
 def scipy_symbol_solve(rhs, symbol):

@@ -1,6 +1,7 @@
 """Package-level contracts: no dead imports in ``src/chns`` or ``tests``, no
 unread parameters in ``src/chns``, no top-level name without a caller, no
-``scipy`` in any command, and the names the benchmark harness in
+``scipy`` in any command, no ``numpy.random`` outside ``chns check``, and
+the names the benchmark harness in
 ``perfbench/`` looks up on the package and counts its steps by."""
 
 import ast
@@ -163,12 +164,13 @@ def test_every_public_name_has_a_caller():
     assert not found, "top-level names nothing in src/chns or perfbench/ uses: " + ", ".join(found)
 
 
-def scipy_modules_after(code, *args):
-    """The ``scipy`` modules loaded once ``code`` ran in a fresh
-    interpreter with ``args`` as ``sys.argv[1:]``."""
+def modules_after(prefix, code, *args):
+    """The modules named ``prefix`` or below it (``prefix.*``) that are
+    loaded once ``code`` ran in a fresh interpreter with ``args`` as
+    ``sys.argv[1:]``."""
     code += (
         "\nprint(sorted(name for name, module in sys.modules.items()\n"
-        "             if module is not None and name.split('.')[0] == 'scipy'))\n"
+        f"             if module is not None and (name + '.').startswith({prefix + '.'!r})))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")]))
@@ -198,7 +200,7 @@ def test_commands_run_without_scipy(tmp_path):
         "assert main(['ratefit', '--snapshots', out, '--equilibrium', out + '/equilibrium.bin']) == 0\n"
         "assert main(['check', *grid]) == 0\n"
     )
-    assert scipy_modules_after(code, str(tmp_path / "out")) == "[]"
+    assert modules_after("scipy", code, str(tmp_path / "out")) == "[]"
     assert (tmp_path / "out" / "ledger.csv").exists()
     assert (tmp_path / "out" / "equilibrium.bin").exists()
 
@@ -212,7 +214,30 @@ def test_tracer_does_not_import_scipy():
         "spec.loader.exec_module(tracing)\n"
         "tracing.Tracer().install()\n"
     )
-    assert scipy_modules_after(code, str(TRACING)) == "[]"
+    assert modules_after("scipy", code, str(TRACING)) == "[]"
+
+
+def test_commands_run_without_numpy_random(tmp_path):
+    # the seeded noise comes from coupled._Pcg64, so with numpy.random
+    # unimportable run (noise-seeded and droplet), stationary and ratefit
+    # still finish; chns check is the one command allowed to load
+    # numpy.random, for its standard-normal probe arrays, and is left out
+    code = (
+        "import sys\n"
+        "sys.modules['numpy.random'] = None  # any numpy.random import now raises ImportError\n"
+        "from chns.cli import main\n"
+        "out, drop = sys.argv[1:3]\n"
+        "grid = ['--set', 'grid.nx=16', '--set', 'grid.ny=16']\n"
+        "march = ['--set', 'time.t_end=0.02', '--set', 'output.cadence=4']\n"
+        "assert main(['run', *grid, *march, '--out', out]) == 0\n"
+        "assert main(['run', *grid, *march, '--set', 'scenario.name=droplet', '--out', drop]) == 0\n"
+        "assert main(['stationary', *grid, '--seed-snapshot', out + '/final.bin']) == 0\n"
+        "assert main(['ratefit', '--snapshots', out, '--equilibrium', out + '/equilibrium.bin']) == 0\n"
+    )
+    out, drop = tmp_path / "out", tmp_path / "droplet"
+    assert modules_after("numpy.random", code, str(out), str(drop)) == "[]"
+    assert (out / "equilibrium.bin").exists()
+    assert (drop / "final.bin").exists()
 
 
 def test_benchmark_import_contract():
