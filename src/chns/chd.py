@@ -32,7 +32,11 @@ the preconditioned basis vectors, as flexible GMRES does (Saad, SIAM J.
 Sci. Comput. 14, 1993), so each iteration costs one preconditioner solve
 and forming the update costs none.  It also keeps the products ``J z``,
 so the closing residual ``J x - b`` of ``x = sum_j y_j z_j`` is ``sum_j
-y_j (J z_j) - b``, without applying ``J`` again.  Each Krylov solve stops
+y_j (J z_j) - b``, without applying ``J`` again.  Newton hands GMRES its
+residual ``r`` and negates the solution in place instead of allocating
+``-r``: under round-to-nearest, sums, products, quotients, square roots
+and FFTs of sign-flipped data flip sign exactly, so the Krylov solve is
+odd in its right-hand side to the bit.  Each Krylov solve stops
 once that residual is a fixed fraction of the Newton residual (an
 inexact-Newton forcing term; Eisenstat & Walker, SIAM J. Sci. Comput. 17,
 1996).  Newton stops at its residual target, once its update is below
@@ -239,6 +243,8 @@ def _jacobian_solve(
     # gathered into the transform's slots once, not on every iteration
     divisor = symbol_slots(_preconditioner_symbol(spec, d, dt))
     d_dev = d - float(d.mean())
+    # a caller that passes d unnamed (as _newton_update does) frees it here
+    del d
     b_norm = np.sqrt(inner_raw(b, b))
     basis = [b / b_norm]
     preconditioned = []
@@ -314,8 +320,11 @@ def _newton_update(
     ``+-``:data:`_INTERIOR_CAP`; otherwise ``s = 1``.  Returns ``(iterate,
     max|delta|, s, gmres_iterations)``; raises :class:`NewtonError` when
     GMRES stops above :data:`GMRES_ACCEPT` or at a non-finite residual."""
-    d = pot.psi0_second(phi, pparams) + gd
-    delta, gmres_iters, gmres_res = _jacobian_solve(spec, d, dt, -r)
+    # the solve against -r, to the bit (module docstring)
+    delta, gmres_iters, gmres_res = _jacobian_solve(
+        spec, pot.psi0_second(phi, pparams) + gd, dt, r
+    )
+    np.negative(delta, out=delta)
     if not gmres_res <= GMRES_ACCEPT:
         raise NewtonError(
             f"GMRES did not converge in Newton iteration {it}: relative "
@@ -380,8 +389,7 @@ def _newton_solve(
         r = (phi - phi0) / dt + b_expl - laplacian_raw(spec, mu)
         return r, norm(r)
 
-    rhs = phi0 / dt - b_expl + laplacian_raw(spec, g_expl)
-    tol = NEWTON_TOL_FACTOR * (1.0 + norm(rhs))
+    tol = NEWTON_TOL_FACTOR * (1.0 + norm(phi0 / dt - b_expl + laplacian_raw(spec, g_expl)))
 
     phi = phi0.copy()
     r, res = residual(phi)
@@ -443,7 +451,10 @@ def ch_step(
         1.0 + dt * p.alpha
     )
     kappa = p.alpha * (m_target - p.c0)
-    b_expl = adv + kappa - src
+    # formed inside the advection term, which is not needed on its own
+    b_expl = adv
+    b_expl += kappa
+    b_expl -= src
 
     phi_new, iters, clipped, linear = _newton_solve(
         spec, p.potential, phi.values, dt, p.gamma, g_expl, b_expl, m_target

@@ -276,7 +276,8 @@ def write_snapshot(path: str | os.PathLike, state: SimState) -> None:
                 state.vel.u,
                 state.vel.v,
             ):
-                handle.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+                # the array's own buffer: no bytes copy of the field
+                handle.write(np.ascontiguousarray(arr, dtype="<f8"))
     except OSError as exc:
         raise ConfigError(f"{path}: cannot write snapshot: {_one_line(exc)}") from exc
 

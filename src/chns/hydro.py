@@ -25,7 +25,11 @@ would leave the explicit remainder only conditionally stable (Dong &
 Shen, J. Comput. Phys. 231, 2012).  A non-incremental pressure projection
 then enforces the discrete divergence constraint to rounding: ``lap q =
 div(v*) / dt``, solved exactly by a cosine transform, ``v = v* - dt grad
-q``, with ``q`` returned as the (zero-mean) pressure.
+q``, with ``q`` returned as the (zero-mean) pressure.  ``F`` is summed into
+the stress divergence's arrays, ``v*`` is formed inside the Helmholtz
+solution and ``v* - dt grad q`` inside the gradient arrays, each in the
+operation order of the plain expression, so no bit changes and fewer
+grid-sized arrays are alive at once.
 
 ``dissipation_quadrature`` evaluates ``int 2 nu |D v|^2`` with corner
 weights halved along the walls, which makes it the exact negative of
@@ -116,10 +120,11 @@ def viscous_stress_div(vel: MacVelocity, nu: ScalarField) -> MacVelocity:
     """Divergence of the symmetric stress ``2 nu(phi) D v`` on faces."""
     spec = vel.grid
     u, v = vel.u, vel.v
-    dux, dvy, shear = _strain_rates(spec, u, v)
-    txx = 2.0 * nu.values * dux
-    tyy = 2.0 * nu.values * dvy
-    tau = _corner_viscosity(nu.values) * shear
+    # the strain arrays become the stresses in place
+    txx, tyy, tau = _strain_rates(spec, u, v)
+    txx *= 2.0 * nu.values
+    tyy *= 2.0 * nu.values
+    tau *= _corner_viscosity(nu.values)
     fu = np.zeros_like(u)
     fu[1:-1, :] = div_raw(spec, txx, tau[1:-1, :])
     fv = np.zeros_like(v)
@@ -177,9 +182,13 @@ def project(vel_star: MacVelocity, dt: float) -> tuple[MacVelocity, ScalarField,
     spec = vel_star.grid
     d = div_raw(spec, vel_star.u, vel_star.v) / dt
     q = neumann_solve(ScalarField(spec, -d))
+    # v* - dt grad q, formed inside the gradient arrays
     gu, gv = grad_raw(spec, q.values)
-    vel = MacVelocity(spec, vel_star.u - dt * gu, vel_star.v - dt * gv)
-    return vel, q, ProjectionReport()
+    gu *= dt
+    gv *= dt
+    np.subtract(vel_star.u, gu, out=gu)
+    np.subtract(vel_star.v, gv, out=gv)
+    return MacVelocity(spec, gu, gv), q, ProjectionReport()
 
 
 def ns_step(
@@ -210,9 +219,19 @@ def ns_step(
     adv_u, adv_v = _advect_momentum(spec, vel.u, vel.v)
     visc = viscous_stress_div(vel, nu)
     force = korteweg_force(phi, mu, sigma, p)
+    # F = visc - adv + force, summed into the stress divergence: the bits
+    # of -adv + visc + force, as v - a is v + (-a) and addition commutes
+    visc.u -= adv_u
+    visc.u += force.u
+    visc.v -= adv_v
+    visc.v += force.v
+    del nu, adv_u, adv_v, force
 
     # the predictor's increment: (I - dt nu_floor lap)(v* - v) = dt F
-    acc_u, acc_v = face_helmholtz(
-        spec, -adv_u + visc.u + force.u, -adv_v + visc.v + force.v, dt * nu_floor
-    )
-    return project(MacVelocity(spec, vel.u + dt * acc_u, vel.v + dt * acc_v), dt)
+    acc_u, acc_v = face_helmholtz(spec, visc.u, visc.v, dt * nu_floor)
+    # v* = v + dt acc, formed inside acc
+    acc_u *= dt
+    acc_v *= dt
+    acc_u += vel.u
+    acc_v += vel.v
+    return project(MacVelocity(spec, acc_u, acc_v), dt)

@@ -168,16 +168,20 @@ def test_ch_step_matches_dense_newton_oracle(rng):
     assert np.max(np.abs(mu_new.values - want_mu)) <= 1.0e-9
 
 
-@pytest.mark.parametrize("dt", [1.0e-3, 1.0])
-def test_jacobian_solve_matches_dense_oracle(dt, rng):
-    # tanh droplet profile scaled so psi0'' = theta / (1 - phi^2) spans
-    # 1 to 500: the variable coefficient the constant-coefficient
-    # preconditioner misses most
+def oracle_coefficient():
+    """Tanh droplet profile scaled so psi0'' = theta / (1 - phi^2) spans 1
+    to 500: the variable coefficient the constant-coefficient
+    preconditioner misses most.  Returns ``(spec, d)``."""
     spec = GridSpec(10, 7, 1.3, 0.8)
     x, y = spec.cell_centers()
     profile = np.tanh((np.hypot(x - 0.6, y - 0.4) - 0.25) / 0.05)
     phi = np.sqrt(1.0 - 1.0 / 500.0) * profile / np.max(np.abs(profile))
-    d = psi0_second(phi, LOG)
+    return spec, psi0_second(phi, LOG)
+
+
+@pytest.mark.parametrize("dt", [1.0e-3, 1.0])
+def test_jacobian_solve_matches_dense_oracle(dt, rng):
+    spec, d = oracle_coefficient()
     assert d.min() < 1.1 and d.max() == pytest.approx(500.0)
     lap = dense_neumann_laplacian(spec)
     jac = np.eye(70) / dt + lap @ lap - lap @ np.diag(d.reshape(-1))
@@ -204,6 +208,22 @@ def tanh_fixture():
     x, y = spec.cell_centers()
     phi = 0.99 * np.tanh((np.hypot(x - 0.5, y - 0.5) - 0.25) / 0.05)
     return spec, psi0_second(phi, LOG)
+
+
+@pytest.mark.parametrize("fixture", [oracle_coefficient, tanh_fixture])
+@pytest.mark.parametrize("dt", [1.0e-3, 1.0])
+def test_jacobian_solve_is_odd_in_its_right_hand_side(fixture, dt, rng):
+    # Newton solves against its residual r and negates the result instead
+    # of solving against -r: under round-to-nearest every sum, product,
+    # quotient, square root and FFT of sign-flipped data flips sign
+    # exactly, so the two agree to the bit, with the same iterations
+    spec, d = fixture()
+    for _ in range(8):
+        b = rng.standard_normal(d.shape)
+        x, iters, rel = _jacobian_solve(spec, d, dt, b)
+        x_neg, iters_neg, rel_neg = _jacobian_solve(spec, d, dt, -b)
+        assert np.array_equal(x_neg, -x)
+        assert iters_neg == iters and rel_neg == rel
 
 
 def test_jacobian_solve_preconditions_once_per_iteration(monkeypatch, rng):

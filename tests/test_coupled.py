@@ -1,6 +1,7 @@
 """Full-step orchestration: step ordering, CFL control, scenarios, run
 semantics, and a dense cross-check of one coupled step."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from chns import coupled
 from chns.chd import ModelParams, chd_step
-from chns.cli import _mass_laws_hold
+from chns.cli import _mass_laws_hold, write_snapshot
 from chns.coupled import (
     RunConfig,
     ScenarioConfig,
@@ -122,6 +123,49 @@ def test_coupled_step_commutes_with_transposing_the_grid(rng):
     ]
     for got, want in pairs:
         assert np.max(np.abs(got - want)) <= 1.0e-12 * np.max(np.abs(want))
+
+
+def traced_peak(fn) -> int:
+    """Bytes that ``tracemalloc`` traces at the peak of ``fn()``, above
+    what was traced when it was called."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_step_working_set(tmp_path):
+    # peaks of one warm call at 64^2, in arrays of nx * ny doubles; the
+    # releases and in-place forms in chd and hydro set them.  Before those,
+    # the peaks were 21.4 (coupled_step), 18.3 (ns_step) and 1.17
+    # (write_snapshot, which copied each field to bytes).  The counts are
+    # deterministic: they depend on no timing and no allocator state.
+    spec = GridSpec(64, 64)
+    p = ModelParams(chi=0.2, alpha=0.5, beta=1.0)
+    cfg = RunConfig(grid=spec, params=p, seed=1)
+    state = initial_state(cfg)
+    # two steps build every per-grid cache (transform tables, face divisors)
+    for _ in range(2):
+        state, _ = coupled_step(state, p, cfg.dt)
+    arrays = 8 * spec.nx * spec.ny
+    peaks = {
+        "coupled_step": traced_peak(lambda: coupled_step(state, p, cfg.dt)),
+        "ns_step": traced_peak(
+            lambda: ns_step(state.vel, state.phi, state.mu, state.sigma, p, cfg.dt)
+        ),
+        "write_snapshot": traced_peak(lambda: write_snapshot(tmp_path / "s.bin", state)),
+    }
+    counts = {name: peak / arrays for name, peak in peaks.items()}
+    assert counts["coupled_step"] <= 18.0, counts
+    assert counts["ns_step"] <= 13.0, counts
+    assert counts["write_snapshot"] <= 0.5, counts
 
 
 def test_flow_step_is_stable_for_widely_different_viscosities():
